@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for generalized factorials, Stirling-type
 triangles, p-order f-harmonic numbers, and convolution-polynomial analogs."""
 
-from .cyclotomic import CyclotomicElem, cyclo_mul, is_prime
+from .cyclotomic import CyclotomicElem, is_prime
 from .factorial import bang_f, bang_ft, check_config, normalize_t, pochhammer_poly
 from .fharmonic import (
     euler_sum_numeric,
@@ -38,7 +38,6 @@ __all__ = [
     "bang_f",
     "bang_ft",
     "check_config",
-    "cyclo_mul",
     "euler_sum_numeric",
     "eval_f",
     "fharmonic_direct",

@@ -24,7 +24,7 @@ from . import convpoly, fharmonic, stirling
 from .factorial import check_config
 from .fspec import FSpecError, parse_fspec
 from .laurent import LaurentPoly
-from .report import Report, render_value
+from .report import Report, digits_unlimited, render_value
 from .stirling import ORACLE_CAP
 
 SUITES = [
@@ -82,11 +82,10 @@ def _emit(text: str, path: str | None):
 def _render_scalar(value, decimal: int | None) -> str:
     if isinstance(value, LaurentPoly) and value.is_constant():
         value = value.constant_value()
-    if decimal is not None and isinstance(value, Fraction):
-        return _decimal_str(value, decimal)
-    if isinstance(value, LaurentPoly):
+    with digits_unlimited():
+        if decimal is not None and isinstance(value, Fraction):
+            return _decimal_str(value, decimal)
         return str(value)
-    return str(value)
 
 
 def cmd_triangle(args) -> int:

@@ -116,8 +116,3 @@ class CyclotomicElem:
 
     def __repr__(self):
         return f"CyclotomicElem(p={self.p}, {self.coords})"
-
-
-def cyclo_mul(a: CyclotomicElem, b: CyclotomicElem) -> CyclotomicElem:
-    """Product in Q(zeta_p), reduced modulo the cyclotomic polynomial."""
-    return a * b

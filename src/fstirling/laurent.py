@@ -1,13 +1,19 @@
 """Laurent polynomials in one variable with exact rational coefficients.
 
-A Laurent polynomial maps integer exponents (possibly negative) to nonzero
-``Fraction`` coefficients.  Values are immutable and hashable, so they can be
-shared freely between threads and used as dict keys.
+A value is ``(var, lo, num, den)``, FLINT's ``fmpq_poly`` layout: the
+coefficient of ``var^(lo + i)`` is ``num[i] / den``, ``num`` is a tuple of ints
+with no zero at either end (empty, with ``lo == 0``, for zero) and ``den > 0``
+shares no factor with all of ``num``.  One normalizer builds every result, so
+equal values have equal fields.  A product of two polynomials of two or more
+terms packs each integer list into one int (Kronecker substitution), makes one
+big-int multiply and unpacks the digits; a one-term operand scales the other
+list directly.  Values are immutable by convention and hash by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -16,42 +22,70 @@ Scalar = Union[int, Fraction]
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
+    if isinstance(c, (int, str)):
         return Fraction(c)
     raise TypeError(f"cannot coerce {type(c).__name__} to a rational")
 
 
-class LaurentPoly:
-    """Finite map {exponent -> rational}, no zero coefficients stored."""
+def _make(var: str, lo: int, num, den: int) -> "LaurentPoly":
+    """The one normalizer: trim zeros from both ends, divide out the content gcd."""
+    start, stop = 0, len(num)
+    while stop and not num[stop - 1]:
+        stop -= 1
+    while start < stop and not num[start]:
+        start += 1
+    num = tuple(num[start:stop])
+    g = gcd(den, *num)
+    p = object.__new__(LaurentPoly)
+    p.var, p.lo, p.den = var, lo + start if num else 0, den // g
+    p.num = num if g == 1 else tuple(c // g for c in num)
+    return p
 
-    __slots__ = ("var", "terms", "_hash")
+
+def _packed_product(a: tuple, b: tuple) -> list:
+    """Product of two integer coefficient lists, by Kronecker substitution.
+
+    A product coefficient is below ``min(len) * max|a| * max|b|``, so a slot two
+    bits wider holds it.  Adding half a slot to every coefficient makes each
+    slot a non-negative digit, so packing and unpacking are byte conversions.
+    """
+    bits = (max(abs(c) for c in a).bit_length() + max(abs(c) for c in b).bit_length()
+            + min(len(a), len(b)).bit_length() + 2)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    halves = bytes(width - 1) + b"\x80"
+
+    def pack(coeffs):
+        raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+        return int.from_bytes(raw, "little") - int.from_bytes(halves * len(coeffs), "little")
+
+    m = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + int.from_bytes(halves * m, "little")
+    raw = product.to_bytes(width * m, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * m, width)]
+
+
+class LaurentPoly:
+    """Dense Laurent polynomial ``sum_i num[i] / den * var^(lo + i)``."""
+
+    __slots__ = ("var", "lo", "num", "den")
 
     def __init__(self, var: str, terms: Mapping[int, Scalar] | None = None):
-        self.var = var
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    clean[int(e)] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        if name in ("var", "terms", "_hash") and not hasattr(self, "_hash"):
-            object.__setattr__(self, name, value)
-        elif name == "_hash":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("LaurentPoly is immutable")
+        terms = {int(e): _as_fraction(c) for e, c in (terms or {}).items()}
+        lo, den = min(terms, default=0), lcm(*(c.denominator for c in terms.values()))
+        num = [0] * (max(terms, default=-1) - lo + 1)
+        for e, c in terms.items():
+            num[e - lo] = c.numerator * (den // c.denominator)
+        p = _make(var, lo, num, den)
+        self.var, self.lo, self.num, self.den = p.var, p.lo, p.num, p.den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, var: str, c) -> "LaurentPoly":
-        return cls(var, {0: _as_fraction(c)})
+        c = _as_fraction(c)
+        return _make(var, 0, (c.numerator,), c.denominator)
 
     @classmethod
     def monomial(cls, var: str, exponent: int, coeff=1) -> "LaurentPoly":
@@ -63,33 +97,40 @@ class LaurentPoly:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients as a fresh ``{exponent: Fraction}`` dict."""
+        lo, den = self.lo, self.den
+        return {lo + i: Fraction(c, den) for i, c in enumerate(self.num) if c}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
+        return not self.num or (self.lo == 0 and len(self.num) == 1)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.num) == 1
 
     def coeff(self, exponent: int) -> Fraction:
-        return self.terms.get(exponent, Fraction(0))
+        i = exponent - self.lo
+        return Fraction(self.num[i] if 0 <= i < len(self.num) else 0, self.den)
 
     def min_exponent(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no exponents")
-        return min(self.terms)
+        return self.lo
 
     def max_exponent(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no exponents")
-        return max(self.terms)
+        return self.lo + len(self.num) - 1
 
     # -- coercion ----------------------------------------------------------
 
@@ -97,25 +138,31 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             if other.var != self.var and not (other.is_constant() or self.is_constant()):
                 raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-            if other.is_constant() and other.var != self.var:
-                return LaurentPoly(self.var, other.terms)
             return other
-        return LaurentPoly.constant(self.var, _as_fraction(other))
+        return LaurentPoly.constant(self.var, other)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         var = self.var if not self.is_constant() or other.is_constant() else other.var
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return LaurentPoly(var, terms)
+        if not (self.num and other.num):
+            p = self if self.num else other
+            return _make(var, p.lo, p.num, p.den)
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.lo + len(self.num), other.lo + len(other.num)) - lo)
+        for i, c in enumerate(self.num, self.lo - lo):
+            out[i] = c * m1
+        for i, c in enumerate(other.num, other.lo - lo):
+            out[i] += c * m2
+        return _make(var, lo, out, self.den * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.var, {e: -c for e, c in self.terms.items()})
+        return _make(self.var, self.lo, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -126,25 +173,26 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         var = self.var if not self.is_constant() or other.is_constant() else other.var
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(var, terms)
+        a, b = self.num, other.num
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            num = [c * b[0] for c in a]
+        else:
+            num = _packed_product(a, b) if a and b else []
+        return _make(var, self.lo + other.lo, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LaurentPoly":
         """Multiplicative inverse; defined only for nonzero monomials."""
-        if len(self.terms) != 1:
+        if len(self.num) != 1:
             raise ZeroDivisionError("only nonzero Laurent monomials are invertible")
-        ((e, c),) = self.terms.items()
-        return LaurentPoly(self.var, {-e: Fraction(1) / c})
+        c = self.num[0]
+        return _make(self.var, -self.lo, (self.den if c > 0 else -self.den,), abs(c))
 
     def __truediv__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "LaurentPoly":
         return self._coerce(other) * self.inverse()
@@ -182,31 +230,25 @@ class LaurentPoly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_constant() and other.is_constant():
-            return self.constant_value() == other.constant_value()
-        return self.var == other.var and self.terms == other.terms
+        return (self.lo == other.lo and self.num == other.num and self.den == other.den
+                and (self.var == other.var or self.is_constant()))
 
     def __hash__(self):
-        if self._hash is None:
-            if self.is_constant():
-                h = hash(self.constant_value())
-            else:
-                h = hash((self.var, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.var, self.lo, self.num, self.den))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __repr__(self):
         return f"LaurentPoly({self!s})"
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e, c in self.terms.items():
             if e == 0:
                 parts.append(str(c))
             else:
@@ -223,7 +265,7 @@ class LaurentPoly:
         """Canonical JSON form: {"var": ..., "terms": {"<exp>": "<rational>"}}."""
         return {
             "var": self.var,
-            "terms": {str(e): str(self.terms[e]) for e in sorted(self.terms)},
+            "terms": {str(e): str(c) for e, c in self.terms.items()},
         }
 
     @classmethod
@@ -235,7 +277,7 @@ def as_laurent(value, var: str) -> LaurentPoly:
     """Coerce a rational or LaurentPoly to a LaurentPoly in ``var``."""
     if isinstance(value, LaurentPoly):
         if value.is_constant() and value.var != var:
-            return LaurentPoly(var, value.terms)
+            return _make(var, value.lo, value.num, value.den)
         return value
     return LaurentPoly.constant(var, _as_fraction(value))
 

@@ -6,7 +6,9 @@ is documented with its witness values instead of aborting a sweep.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -14,17 +16,32 @@ from typing import List, Optional, Sequence
 from .laurent import LaurentPoly
 
 
+@contextlib.contextmanager
+def digits_unlimited():
+    """Lift Python's int-to-string digit limit, where it has one, for rendering output."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def render_value(v) -> object:
     """Canonical text/JSON form for rationals, polynomials, and series."""
-    if isinstance(v, LaurentPoly):
-        if v.is_constant():
-            return str(v.constant_value())
-        return v.to_json()
-    if isinstance(v, (int, Fraction)):
+    with digits_unlimited():
+        if isinstance(v, LaurentPoly):
+            if v.is_constant():
+                return str(v.constant_value())
+            return v.to_json()
+        if isinstance(v, (int, Fraction)):
+            return str(v)
+        if hasattr(v, "to_json"):
+            return v.to_json()
         return str(v)
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    return str(v)
 
 
 @dataclass

@@ -209,20 +209,6 @@ def _is_zero(c) -> bool:
     return not c
 
 
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def series_int_pow(a: TruncSeries, exponent: int) -> TruncSeries:
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    return a ** exponent
-
-
-def series_div(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a / b
-
-
 def geometric_minus_one_over(var: str, order: int, rate=1) -> TruncSeries:
     """(exp(rate*z) - 1) / (rate*z) truncated to ``order``."""
     rate = Fraction(rate)

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from fstirling.cli import main
+from fstirling.report import digits_unlimited
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TABLE_ARG = f"table:{os.path.join(DATA, 'table12.json')}"
@@ -78,6 +80,23 @@ def test_eulersum(capsys):
     )
     assert code == 0
     assert out.strip() == "21/16"
+
+
+def test_eulersum_exact_output_beyond_digit_limit(capsys):
+    # The exact N=3000 value has more than 4300 digits, Python's default
+    # int-to-string limit; rendering it must not fail.
+    code, out, _ = run_cli(
+        ["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "3000"], capsys
+    )
+    assert code == 0
+    assert len(out) > 4300
+    harmonic, expected = Fraction(0), Fraction(0)
+    for n in range(1, 3001):
+        a = Fraction(1, n * n)
+        harmonic += a
+        expected += harmonic * a
+    with digits_unlimited():
+        assert Fraction(out.strip()) == expected
 
 
 def test_verify_single_suite_exit_zero(capsys):

@@ -1,9 +1,10 @@
 """Ring-axiom and oracle tests for the Laurent polynomial core."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstirling.laurent import LaurentPoly, as_laurent, poly_product_expand
@@ -109,3 +110,82 @@ def test_as_laurent_coercion():
     assert as_laurent(p, "u").var == "u"
     m = LaurentPoly.monomial("u", 2)
     assert as_laurent(m, "u") is m
+
+
+# -- differential test against the dict-of-Fraction algorithm ---------------
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# Numerators of up to 300 bits of both signs over mixed denominators.
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
+    st.sampled_from([1, 1, 2, 3, 12, 35, 2 ** 61 - 1, 3 ** 40]),
+)
+
+
+@st.composite
+def wide_terms(draw):
+    """Up to 60 consecutive exponents, some left out, from a random start."""
+    lo = draw(st.integers(min_value=-40, max_value=40))
+    size = draw(st.integers(min_value=0, max_value=60))
+    coeffs = draw(st.lists(wide_rationals | st.just(Fraction(0)), min_size=size, max_size=size))
+    return {lo + i: c for i, c in enumerate(coeffs) if c}
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) where b is -a except on a few kept exponents of a."""
+    a = draw(wide_terms())
+    keep = draw(st.sets(st.sampled_from(sorted(a)), max_size=3)) if a else set()
+    b = {e: -c for e, c in a.items() if e not in keep}
+    b.update({e: draw(wide_rationals) for e in keep})
+    return a, b
+
+
+def check_normalized(p: LaurentPoly):
+    assert p.den > 0
+    if p.num:
+        assert p.num[0] and p.num[-1]
+        assert gcd(p.den, *p.num) == 1
+    else:
+        assert (p.lo, p.den) == (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_terms(), wide_terms())
+def test_dense_ring_matches_reference(a, b):
+    pa, pb = LaurentPoly("t", a), LaurentPoly("t", b)
+    neg_b = {e: -c for e, c in b.items()}
+    for result, expected in ((pa + pb, ref_add(a, b)), (pa - pb, ref_add(a, neg_b)),
+                             (pa * pb, ref_mul(a, b))):
+        check_normalized(result)
+        assert result.terms == expected
+        assert result == LaurentPoly("t", expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_pairs())
+# one inner term survives and then loses a content gcd: its exponent must stay
+@example(({-5: Fraction(1, 3), -2: Fraction(2), 4: Fraction(5, 6)},
+          {-5: Fraction(-1, 3), -2: Fraction(4), 4: Fraction(-5, 6)}))
+def test_dense_sum_cancellation_matches_reference(pair):
+    a, b = pair
+    total = LaurentPoly("t", a) + LaurentPoly("t", b)
+    check_normalized(total)
+    assert total.terms == ref_add(a, b)
+    product = LaurentPoly("t", a) * LaurentPoly("t", b)
+    assert product.terms == ref_mul(a, b)
