@@ -463,6 +463,62 @@ def euler_sum_numeric(spec: FSpec, r: int, N: int, mode: str) -> Fraction:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+_FLOOR_DOUBLINGS = 3
+
+
+def euler_sum_floor(spec: FSpec, r: int, N: int, mode: str, unit: int) -> int:
+    """floor(euler_sum_numeric(spec, r, N, mode) * unit), exactly, without
+    building the exact rational.
+
+    Each term a_n = 1/f(n)^r is enclosed in fixed point at scale 2^bits by
+    its floor and ceiling; the sums of those bounds enclose the series
+    (mode "harmonic_over_f" uses T = (A^2 + sum a_n^2)/2 with A = sum a_n).
+    When both ends of the enclosure floor to the same multiple of 1/unit,
+    that is the answer; otherwise the precision doubles, and after
+    _FLOOR_DOUBLINGS doublings the exact sum decides.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if mode not in ("harmonic_over_f", "fzeta", "fzeta2r"):
+        raise ValueError(f"unknown mode {mode!r}")
+    power = 2 * r if mode == "fzeta2r" else r
+    bits = unit.bit_length() + 2 * N.bit_length() + 16
+    for _ in range(_FLOOR_DOUBLINGS + 1):
+        lo, hi, shift = _enclose(spec, power, N, bits, mode == "harmonic_over_f")
+        floor_lo = lo * unit >> shift
+        if floor_lo == hi * unit >> shift:
+            return floor_lo
+        bits *= 2
+    exact = euler_sum_numeric(spec, r, N, mode)
+    return exact.numerator * unit // exact.denominator
+
+
+def _enclose(spec: FSpec, power: int, N: int, bits: int, weighted: bool) -> Tuple[int, int, int]:
+    """(lo, hi, shift) with lo <= S * 2^shift <= hi, where S is sum a_n over
+    n <= N with a_n = 1/f(n)^power, or the prefix-weighted sum
+    (A^2 + sum a_n^2)/2 when ``weighted``.  Terms are streamed."""
+    a_lo = a_hi = sq_lo = sq_hi = 0
+    for n in range(1, N + 1):
+        fr = eval_f_scalar(spec, n) ** power
+        num, den = fr.numerator, fr.denominator
+        q, rem = divmod(den << bits, num)
+        a_lo += q
+        a_hi += q + (rem != 0)
+        if weighted:
+            q, rem = divmod(den * den << 2 * bits, num * num)
+            sq_lo += q
+            sq_hi += q + (rem != 0)
+    if not weighted:
+        return a_lo, a_hi, bits
+    if a_lo >= 0:
+        a2_lo, a2_hi = a_lo * a_lo, a_hi * a_hi
+    elif a_hi <= 0:
+        a2_lo, a2_hi = a_hi * a_hi, a_lo * a_lo
+    else:
+        a2_lo, a2_hi = 0, max(a_lo * a_lo, a_hi * a_hi)
+    return a2_lo + sq_lo, a2_hi + sq_hi, 2 * bits + 1
+
+
 def _range_sum(spec: FSpec, power: int, lo: int, hi: int) -> Fraction:
     if hi - lo == 1:
         return Fraction(1) / eval_f_scalar(spec, lo) ** power

@@ -99,6 +99,40 @@ def test_eulersum_exact_output_beyond_digit_limit(capsys):
         assert Fraction(out.strip()) == expected
 
 
+def test_eulersum_decimal_classic_euler_sum(capsys):
+    # sum_{n<=10^5} H_n^(2)/n^2, whose limit is 7 pi^4/360 = 1.8940656...
+    code, out, _ = run_cli(
+        ["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "100000",
+         "--decimal", "7"], capsys
+    )
+    assert code == 0
+    assert out == "1.8940492\n"
+
+
+def test_eulersum_decimal_floors_negative_values(capsys):
+    # -H_10 = -2.92896...; the printed digits are floor(v * 10^k).
+    base = ["eulersum", "--f", "linear:-1,0", "--r", "1", "--N", "10",
+            "--mode", "fzeta"]
+    assert run_cli(base + ["--decimal", "3"], capsys)[1] == "-2.929\n"
+    assert run_cli(base + ["--decimal", "0"], capsys)[1] == "-3.0\n"
+
+
+def test_negative_decimal_is_a_usage_error(capsys):
+    commands = [
+        ["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "10"],
+        ["harmonic", "--f", "linear:1,0", "--p", "2", "--n", "3"],
+        ["convpoly", "--f", "linear:1,0", "--n-max", "1", "--x-max", "3"],
+        ["triangle", "--f", "linear:1,0", "--rows", "2"],
+        ["verify", "--suite", "wf", "--f", "linear:1,0"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(argv + ["--decimal", "-2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: argument --decimal: must be >= 0" in err
+        assert "Traceback" not in err
+
+
 def test_verify_single_suite_exit_zero(capsys):
     code, out, _ = run_cli(
         ["verify", "--suite", "s1-oracle", "--f", "linear:1,0", "--t", "1"], capsys

@@ -1,14 +1,18 @@
 """p-order harmonic partial sums: route equivalence, weighted-sum table,
 proposition checkers, and the numeric series operations."""
 
+import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fstirling.factorial import check_config
 from fstirling.fharmonic import (
     corollary_expansions_check,
+    euler_sum_floor,
     euler_sum_numeric,
     fharmonic_direct,
     harmonic_via_ftilde,
@@ -23,7 +27,7 @@ from fstirling.fharmonic import (
     stirling_harmonic_identity_check,
     wf_table,
 )
-from fstirling.fspec import linear, parse_fspec, qpow
+from fstirling.fspec import FSpecError, linear, parse_fspec, poly, qpow, table
 from fstirling.laurent import LaurentPoly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -214,6 +218,59 @@ def test_euler_sum_matches_rolling_oracle():
         harmonic += 1 / fn ** 2
         acc += harmonic / fn ** 2
     assert euler_sum_numeric(spec, 2, N, "harmonic_over_f") == acc
+
+
+EULER_MODES = ["harmonic_over_f", "fzeta", "fzeta2r"]
+_values = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_specs = st.one_of(
+    st.builds(linear, _values, _values),
+    st.lists(_values, min_size=1, max_size=3).map(lambda cs: poly(*cs)),
+    st.lists(_values.filter(bool), min_size=1, max_size=60).map(table),
+)
+
+
+def _floor_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except FSpecError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=_specs,
+    r=st.sampled_from([-1, 0, 1, 2, 3]),
+    N=st.integers(1, 60),
+    mode=st.sampled_from(EULER_MODES),
+    k=st.integers(0, 12),
+)
+def test_euler_sum_floor_matches_exact_sum(spec, r, N, mode, k):
+    unit = 10 ** k
+    want = _floor_or_error(lambda: math.floor(euler_sum_numeric(spec, r, N, mode) * unit))
+    assert _floor_or_error(euler_sum_floor, spec, r, N, mode, unit) == want
+
+
+def test_euler_sum_floor_on_a_digit_boundary():
+    # 1/5 = 0.2 exactly: no enclosure of it floors to one tenth, so the
+    # exact fallback decides.
+    assert euler_sum_floor(linear(5, 0), 1, 1, "fzeta", 10) == 2
+    assert euler_sum_floor(linear(5, 0), 1, 1, "fzeta", 10 ** 12) == 2 * 10 ** 11
+
+
+def test_euler_sum_floor_square_of_interval_around_zero():
+    # a = (1/3, -1/3): A = 0, so the interval for A contains 0 and A^2 is
+    # bounded below by 0; T = (0 + 2/9)/2 = 1/9.
+    spec = table([3, -3])
+    assert euler_sum_numeric(spec, 1, 2, "harmonic_over_f") == Fraction(1, 9)
+    for k in range(13):
+        assert euler_sum_floor(spec, 1, 2, "harmonic_over_f", 10 ** k) == 10 ** k // 9
+
+
+def test_euler_sum_floor_rejects_bad_input():
+    with pytest.raises(ValueError):
+        euler_sum_floor(linear(1, 0), 2, 0, "fzeta", 10)
+    with pytest.raises(ValueError):
+        euler_sum_floor(linear(1, 0), 2, 3, "no-such-mode", 10)
 
 
 def test_hf_weighted_anchors():
