@@ -390,6 +390,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # A command's work, and so a traced pass's counts, must not depend on
+    # what ran before it in the same process.
+    stirling.S1_ROWS.clear()
     try:
         return args.func(args)
     except (UsageError, FSpecError, ValueError) as exc:

@@ -109,8 +109,11 @@ def stirlingpoly_gf_check(family: str, n_max: int, x_max: int,
     core = TruncSeries.exp("z", alpha, order) / geometric_minus_one_over("z", order, alpha)
     prefactor = TruncSeries.exp("z", beta, order)
     tri = s1_triangle(spec, 1, x_max)
+    core_x = core
     for x in range(1, x_max + 1):
-        series = prefactor * core ** x
+        if x > 1:
+            core_x = core_x * core
+        series = prefactor * core_x
         for n in range(min(n_max, x - 1) + 1):
             lhs = x * sigma_eval(spec, 1, "sigma~", n, x, triangle=tri)
             report.check((family, n, x), lhs, series.coeff(n))
@@ -193,15 +196,20 @@ def conv_family_shift_check(
          "n_max": n_max, "x_max": x_max},
     )
     S = TruncSeries("z", order, coeffs[: order + 1])
+    S_pows = [S]  # S_pows[k - 1] = S^k
     G = solve_shifted_family(coeffs, t_shift, order)
+    Gx = G
     for x in range(1, x_max + 1):
-        Gx = G ** x
+        if x > 1:
+            Gx = Gx * G
         for n in range(n_max + 1):
             shifted_arg = x + t_shift * n
             if shifted_arg == 0:
                 report.skip((t_shift, n, x), "x + t n = 0: identity denominator vanishes")
                 continue
-            s_n = (S ** shifted_arg).coeff(n)
+            while len(S_pows) < shifted_arg:
+                S_pows.append(S_pows[-1] * S)
+            s_n = S_pows[shifted_arg - 1].coeff(n)
             lhs = Fraction(x, shifted_arg) * s_n
             report.check((t_shift, n, x), lhs, Gx.coeff(n))
     return report
@@ -275,11 +283,13 @@ def experimental_binomial_check(spec: FSpec, t: TParam, n_max: int) -> Report:
         for cell in fit_report.cells:
             report.cells.append(cell)
         Fn = fitted ** n
-        Fm1 = fitted - 1
+        Fm1_pows = [fitted - 1]  # Fm1_pows[j - 1] = (F - 1)^j
+        for _ in range(n - 2):
+            Fm1_pows.append(Fm1_pows[-1] * Fm1_pows[0])
         for k in range(1, n + 1):
             lhs = Fn.coeff(n - k)
             rhs = Fraction(1) if n == k else Fraction(0)
             for j in range(1, n - k + 1):
-                rhs += math.comb(n, j) * (Fm1 ** j).coeff(n - k)
+                rhs += math.comb(n, j) * Fm1_pows[j - 1].coeff(n - k)
             report.check((n, k), lhs, rhs)
     return report

@@ -107,6 +107,9 @@ class CyclotomicElem:
             raise ValueError(f"element has nonzero zeta-coordinates: {self.coords}")
         return self.coords[0]
 
+    def __bool__(self):
+        return any(self.coords)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicElem):
             return self.is_rational() and self.coords[0] == other

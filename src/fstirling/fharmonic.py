@@ -34,9 +34,11 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     ap = arg if isinstance(arg, LaurentPoly) else LaurentPoly.constant("t", Fraction(arg))
     var = ap.var
     acc = LaurentPoly.constant(var, 0)
+    power = LaurentPoly.constant(var, 1)
     for k in range(1, n + 1):
+        power = power * ap
         fk = as_laurent(eval_f(spec, k), var)
-        acc = acc + ap ** k / fk ** p
+        acc = acc + power / fk ** p
     return acc
 
 
@@ -67,9 +69,12 @@ def harmonic_via_ftilde(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     tri = s1_triangle(spec, tp, n + 1)
     b1 = tri.entry(n + 1, 1)
     ft = ftilde_series(spec, tp, n, order=2 * p)
+    powers = [ft]  # powers[r - 1] = ftilde^r
+    for _ in range(p - 1):
+        powers.append(powers[-1] * ft)
     acc = LaurentPoly.constant(var, 0)
     for j in range(p):
-        inner = (ft ** (p - j)).coeff(2 * p - j)
+        inner = powers[p - j - 1].coeff(2 * p - j)
         term = as_laurent(inner, var) * b1 ** j * Fraction((-1) ** j * p, p - j)
         acc = acc + term
     scale = tp ** (p * n * (n + 1) // 2) / as_laurent(bang_f(spec, n), var) ** p
@@ -121,12 +126,13 @@ def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, n + 1)
     order = 2 * p
-    prod = TruncSeries.constant("w", CyclotomicElem.scalar(p, Fraction(1)), order)
+    prod = None
     for m in range(p):
         coeffs = []
         for k in range(min(n + 1, order) + 1):
             coeffs.append(CyclotomicElem.zeta_pow(p, m * (k - 1)).scale(tri.entry(n + 1, k)))
-        prod = prod * TruncSeries("w", order, coeffs)
+        factor = TruncSeries("w", order, coeffs)
+        prod = factor if prod is None else prod * factor
     top = prod.coeff(order)
     if isinstance(top, CyclotomicElem):
         rational = top.rational_part()
@@ -140,22 +146,15 @@ def harmonic_via_subst(spec: FSpec, p: int, n: int, u: TParam = "u") -> LaurentP
     """Generate sum_{k<=n} t^k/f(k)^p with t = u^p via a triangle built at the
     substitution parameter u (so fractional powers of t never appear).
 
-    Verifies the result against the direct sum before returning it, expressed
-    in u (or evaluated, when u is numeric).
+    The result is expressed in u (or evaluated, when u is numeric); the
+    harmonic-routes suite compares it with the direct sum at t = u^p.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
     up = check_config(spec, u)
     if is_prime(p) and p <= 5:
-        value = harmonic_via_roots(spec, up, p, n)
-    else:
-        value = harmonic_via_ftilde(spec, up, p, n)
-    direct = fharmonic_direct(spec, p, n, up ** p)
-    if value != direct:
-        raise ArithmeticError(
-            f"substitution route disagrees with the direct sum: {value} vs {direct}"
-        )
-    return value
+        return harmonic_via_roots(spec, up, p, n)
+    return harmonic_via_ftilde(spec, up, p, n)
 
 
 # -- weighted sums ---------------------------------------------------------
@@ -221,14 +220,14 @@ def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
     for n in range(N + 1):
         wtab = wf_table(spec, tp, n, n + 1)
         nf = as_laurent(bang_f(spec, n), var)
+        F = [fharmonic_direct(spec, j + 1, n, as_laurent(tp, var) ** (j + 1)) for j in range(n)]
         for k in range(1, n + 2):
             lhs = tri.entry(n + 1, k)
             line1 = nf * wtab[k] / Fraction(math.factorial(k - 1))
             report.check((n, k, "w-column"), lhs, line1)
             acc = LaurentPoly.constant(var, 0)
             for j in range(k - 1):
-                Fj = fharmonic_direct(spec, j + 1, n, as_laurent(tp, var) ** (j + 1))
-                acc = acc + tri.entry(n + 1, k - 1 - j) * Fj * Fraction((-1) ** j, k - 1)
+                acc = acc + tri.entry(n + 1, k - 1 - j) * F[j] * Fraction((-1) ** j, k - 1)
             if k == 1:
                 acc = acc + as_laurent(bang_ft(spec, tp, n), var)
             report.check((n, k, "recurrence"), lhs, acc)

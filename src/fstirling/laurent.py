@@ -206,8 +206,9 @@ class LaurentPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def substitute(self, value) -> "LaurentPoly | Fraction":

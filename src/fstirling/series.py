@@ -105,13 +105,11 @@ class TruncSeries:
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if isinstance(a, (int, Fraction)) and a == 0:
+            if not a:
                 continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if isinstance(b, (int, Fraction)) and b == 0:
-                    continue
-                out[i + j] = out[i + j] + a * b
+            for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                if b:
+                    out[i + j] = out[i + j] + a * b
         return TruncSeries(self.var, n, out)
 
     __rmul__ = __mul__
@@ -119,15 +117,16 @@ class TruncSeries:
     def __pow__(self, exponent: int) -> "TruncSeries":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = TruncSeries.constant(self.var, Fraction(1), self.order)
-        base = self
-        e = exponent
-        while e:
+        if exponent == 0:
+            return TruncSeries.constant(self.var, Fraction(1), self.order)
+        result, base, e = None, self, exponent
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; the constant term must be invertible."""
@@ -155,8 +154,8 @@ class TruncSeries:
         shift = 0
         while (
             shift <= n
-            and _is_zero(a.coeffs[shift])
-            and _is_zero(b.coeffs[shift])
+            and not a.coeffs[shift]
+            and not b.coeffs[shift]
         ):
             shift += 1
         if shift:
@@ -167,7 +166,7 @@ class TruncSeries:
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner); the inner series must have zero constant term."""
         self._check(inner)
-        if not _is_zero(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise ValueError("composition requires zero inner constant term")
         n = min(self.order, inner.order)
         result = TruncSeries.constant(self.var, Fraction(0), n)
@@ -201,12 +200,6 @@ class TruncSeries:
             "order": self.order,
             "coeffs": [render(c) for c in self.coeffs],
         }
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return not c
 
 
 def geometric_minus_one_over(var: str, order: int, rate=1) -> TruncSeries:

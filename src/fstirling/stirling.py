@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import Dict, List
 
 from .factorial import TParam, bang_f, bang_ft, check_config, working_var
 from .fspec import FSpec, eval_f
@@ -64,21 +64,27 @@ class Triangle:
         return buf.getvalue()
 
 
+# First-kind rows built so far per (spec, t, working variable).  Rows are
+# tuples of immutable values, so triangles share them.  cli.main empties the
+# store at the start of each command.
+S1_ROWS: Dict[tuple, List[tuple]] = {}
+
+
 def s1_triangle(spec: FSpec, t: TParam, N: int) -> Triangle:
-    """Build rows 0..N of the first-kind triangle by the recurrence
+    """Rows 0..N of the first-kind triangle, built by the recurrence
 
         entry(n, k) = f(n-1) t^(1-n) entry(n-1, k) + entry(n-1, k-1)
 
-    with entry(0, 0) = 1.
+    with entry(0, 0) = 1.  Rows already built for this (f, t) are reused and
+    extended on demand; a row whose f value fails is not kept.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     tp = check_config(spec, t)
     var = working_var(spec, tp)
     zero = LaurentPoly.constant(var, 0)
-    one = LaurentPoly.constant(var, 1)
-    rows: List[tuple] = [(one,)]
-    for n in range(1, N + 1):
+    rows = S1_ROWS.setdefault((spec, tp, var), [(LaurentPoly.constant(var, 1),)])
+    for n in range(len(rows), N + 1):
         scale = as_laurent(eval_f(spec, n - 1), var) * tp ** (1 - n) if n >= 2 else None
         prev = rows[n - 1]
         row = []
@@ -91,7 +97,7 @@ def s1_triangle(spec: FSpec, t: TParam, N: int) -> Triangle:
             else:
                 row.append(scale * above + left)
         rows.append(tuple(row))
-    return Triangle(spec, tp, N, tuple(rows))
+    return Triangle(spec, tp, N, tuple(rows[: N + 1]))
 
 
 def s1_entry_oracle(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:

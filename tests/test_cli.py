@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from fstirling import stirling
 from fstirling.cli import main
+from fstirling.fspec import linear
 from fstirling.report import digits_unlimited
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -42,6 +44,16 @@ def test_triangle_json_round_trips(capsys):
     # determinism: identical output on a second run
     code2, out2, _ = run_cli(args, capsys)
     assert out2 == out
+
+
+def test_each_command_starts_from_an_empty_triangle_store(monkeypatch, capsys):
+    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    stirling.s1_triangle(linear(1, 0), 1, 5)
+    args = ["triangle", "--f", "linear:2,1", "--t", "3/2", "--rows", "3"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert [spec.render() for spec, _, _ in stirling.S1_ROWS] == ["linear:2,1"]
+    assert run_cli(args, capsys) == (0, out, "")
 
 
 def test_second_kind_triangle(capsys):

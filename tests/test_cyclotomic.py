@@ -64,3 +64,17 @@ def test_order_checks():
         CyclotomicElem.scalar(3, 1) * CyclotomicElem.scalar(5, 1)
     with pytest.raises(ValueError):
         CyclotomicElem.zeta_pow(3, 1).rational_part()
+
+
+def test_truth_value_is_any_nonzero_coordinate():
+    t = LaurentPoly.variable("t")
+    for p in (2, 3, 5):
+        zeros = [Fraction(0), LaurentPoly.constant("t", 0)]
+        for z in zeros:
+            assert not CyclotomicElem(p, [z] * (p - 1))
+        for i in range(p - 1):
+            for nonzero in (Fraction(-1, 3), t, t - t + 2):
+                coords = [zeros[i % 2]] * (p - 1)
+                coords[i] = nonzero
+                assert CyclotomicElem(p, coords)
+        assert not CyclotomicElem.zeta_pow(p, 1) - CyclotomicElem.zeta_pow(p, p + 1)

@@ -189,3 +189,24 @@ def test_dense_sum_cancellation_matches_reference(pair):
     assert total.terms == ref_add(a, b)
     product = LaurentPoly("t", a) * LaurentPoly("t", b)
     assert product.terms == ref_mul(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys())
+@example(LaurentPoly("t", {}))
+@example(LaurentPoly("t", {-3: Fraction(-2, 5)}))
+def test_power_matches_repeated_multiplication(a):
+    terms = a.terms
+    inverse = {-e: 1 / c for e, c in terms.items()} if a.is_monomial() else None
+    for e in range(-4, 10):
+        if e < 0 and inverse is None:
+            with pytest.raises(ZeroDivisionError):
+                a ** e
+            continue
+        expected = {0: Fraction(1)}
+        for _ in range(abs(e)):
+            expected = ref_mul(expected, terms if e > 0 else inverse)
+        power = a ** e
+        check_normalized(power)
+        assert power.terms == expected, e
+        assert power.var == "t"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fstirling.cyclotomic import CyclotomicElem
+from fstirling.laurent import LaurentPoly
 from fstirling.series import TruncSeries, geometric_minus_one_over
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
@@ -110,3 +112,45 @@ def test_compose_horner_anchor():
 def test_variable_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncSeries.variable("z", 3) + TruncSeries.variable("w", 3)
+
+
+def repeated_product(coeffs, e, order):
+    """Independent oracle: e-fold schoolbook product of a coefficient list,
+    starting from the series 1, with no zero skipping."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(e):
+        out = [
+            sum((out[i] * coeffs[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(order + 1)
+        ]
+    return out
+
+
+def _power_cases():
+    t = LaurentPoly.variable("t")
+    lp0 = LaurentPoly.constant("t", 0)
+    c0 = CyclotomicElem.scalar(3, Fraction(0))
+    zeta = CyclotomicElem.zeta_pow(3, 1)
+    return [
+        [Fraction(3, 2), Fraction(-1), Fraction(0), Fraction(2, 3), Fraction(5), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(1, 7),
+         Fraction(0), Fraction(2)],
+        [t + 1, t ** -2 * Fraction(2, 3), lp0, -t * t, t ** 3 - 1],
+        # the ftilde shape: LaurentPoly zeros in the two lowest places
+        [lp0, lp0, t + 1, t ** -1 * Fraction(2, 3), -t * t, lp0, t],
+        [CyclotomicElem.scalar(3, Fraction(1, 2)), zeta, c0, zeta.scale(Fraction(-3)),
+         CyclotomicElem.zeta_pow(3, 2)],
+        # cyclotomic coefficients with LaurentPoly coordinates and the ftilde shape
+        [c0, c0, zeta.scale(t), CyclotomicElem.scalar(3, t ** -1), zeta.scale(lp0 + 2),
+         CyclotomicElem.zeta_pow(3, 2).scale(t * t)],
+    ]
+
+
+@pytest.mark.parametrize("coeffs", _power_cases())
+def test_power_equals_repeated_multiplication(coeffs):
+    order = len(coeffs) - 1
+    s = TruncSeries("w", order, coeffs)
+    for e in range(10):
+        power = s ** e
+        assert power.order == order
+        assert power.coeffs == repeated_product(coeffs, e, order), e

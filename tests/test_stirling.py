@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fstirling.fspec import linear, parse_fspec, qpow
+from fstirling import stirling
+from fstirling.fspec import FSpecError, linear, parse_fspec, qpow
 from fstirling.stirling import (
     s1_column_closed_forms,
     s1_entry_oracle,
@@ -149,3 +150,31 @@ def test_s2star_transforms_numeric_specs():
             assert s2star_ogf_check(spec, k, 10).passed
         for r in range(4):
             assert s2star_egf_check(spec, r, 8).passed
+
+
+@pytest.mark.parametrize("sizes", [(10, 3, 12), (12, 3, 10)])
+def test_triangle_store_extends_and_truncates(monkeypatch, sizes):
+    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    for spec, t in ((linear(2, 1), Fraction(3, 2)), (TABLE, "t")):
+        oracle = {(n, k): s1_entry_oracle(spec, t, n, k)
+                  for n in range(13) for k in range(n + 1)}
+        for N in sizes:
+            tri = s1_triangle(spec, t, N)
+            assert tri.rows == N and len(tri.entries) == N + 1
+            with pytest.raises(IndexError):
+                tri.entry(N + 1, 1)
+            for n in range(N + 1):
+                for k in range(n + 1):
+                    assert tri.entry(n, k) == oracle[n, k], (N, n, k)
+
+
+def test_triangle_store_keeps_no_failed_row(monkeypatch):
+    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    # row 14 needs f(13), one past the 12-entry table
+    for _ in range(2):
+        with pytest.raises(FSpecError):
+            s1_triangle(TABLE, 1, 14)
+    tri = s1_triangle(TABLE, 1, 13)
+    assert tri.rows == 13 and len(tri.entries) == 14
+    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    assert s1_triangle(TABLE, 1, 13).entries == tri.entries
