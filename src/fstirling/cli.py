@@ -211,9 +211,12 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
                 rep.check((n, k), tri.entry(n, k), stirling.s1_entry_oracle(spec, tp, n, k))
         reports.append(rep)
     elif name == "s2-geom":
-        for n in range(min(max_n, 8) + 1):
+        cap = min(max_n, 8)
+        coeffs = {(k, j): stirling.s2_diff_coeff(spec, tp, k, j)
+                  for k in range(6) for j in range(cap + 1)}
+        for n in range(cap + 1):
             for k in range(6):
-                reports.append(stirling.s2_geom_transform_check(spec, tp, n, k))
+                reports.append(stirling.s2_geom_transform_check(spec, tp, n, k, coeffs))
     elif name == "s2star-ogf":
         if not numeric_f:
             return skip("modified-number transforms need numeric f values")
@@ -283,8 +286,7 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
         if spec.kind == "table":
             return skip("finite f table cannot support the series truncation")
         N = 2000
-        lhs = fharmonic.euler_sum_numeric(spec, 2, N, "harmonic_over_f")
-        z2 = fharmonic.euler_sum_numeric(spec, 2, N, "fzeta")
+        z2, lhs = fharmonic.fzeta_and_harmonic_sums(spec, 2, N)
         z4 = fharmonic.euler_sum_numeric(spec, 2, N, "fzeta2r")
         rhs = (z2 * z2 + z4) / 2
         rep = Report("euler-sum-numeric", {"f": spec.render(), "r": 2, "N": N})

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .cyclotomic import CyclotomicElem, is_prime
 from .factorial import TParam, bang_f, bang_ft, check_config, working_var
-from .fspec import FSpec, eval_f, eval_f_scalar
+from .fspec import FSpec, eval_f, eval_f_scalar, f_pairs
 from .laurent import LaurentPoly, as_laurent
 from .report import Report
 from .series import TruncSeries
@@ -162,10 +162,11 @@ def harmonic_via_subst(spec: FSpec, p: int, n: int, u: TParam = "u") -> LaurentP
 
 @dataclass(frozen=True)
 class WfTable:
-    """Weighted f-harmonic sums w(n+1, m) for 1 <= m <= m_max."""
+    """Weighted sums w(n+1, m), m <= m_max, and the F_n^(j)(t^j), j < m_max, they use."""
 
     n: int
     values: Dict[int, LaurentPoly]
+    harmonics: Tuple[LaurentPoly, ...]
 
     def __getitem__(self, m: int) -> LaurentPoly:
         return self.values[m]
@@ -188,10 +189,10 @@ def wf_table(spec: FSpec, t: TParam, n: int, m_max: int) -> WfTable:
     tp = check_config(spec, t)
     var = working_var(spec, tp)
     s = n * (n + 1) // 2
-    harmonics = [
+    harmonics = tuple(
         fharmonic_direct(spec, k + 1, n, as_laurent(tp, var) ** (k + 1))
         for k in range(m_max - 1)
-    ]
+    )
     values: Dict[int, LaurentPoly] = {1: as_laurent(tp ** (-s), var)}
     for m in range(2, m_max + 1):
         acc = LaurentPoly.constant(var, 0)
@@ -202,7 +203,7 @@ def wf_table(spec: FSpec, t: TParam, n: int, m_max: int) -> WfTable:
             term = harmonics[k] * values[m - 1 - k] * Fraction((-1) ** k * fall)
             acc = acc + term
         values[m] = acc
-    return WfTable(n, values)
+    return WfTable(n, values, harmonics)
 
 
 def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
@@ -220,7 +221,7 @@ def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
     for n in range(N + 1):
         wtab = wf_table(spec, tp, n, n + 1)
         nf = as_laurent(bang_f(spec, n), var)
-        F = [fharmonic_direct(spec, j + 1, n, as_laurent(tp, var) ** (j + 1)) for j in range(n)]
+        F = wtab.harmonics
         for k in range(1, n + 2):
             lhs = tri.entry(n + 1, k)
             line1 = nf * wtab[k] / Fraction(math.factorial(k - 1))
@@ -447,19 +448,24 @@ def euler_sum_numeric(spec: FSpec, r: int, N: int, mode: str) -> Fraction:
     mode "fzeta":            sum_{n<=N} 1 / f(n)^r
     mode "fzeta2r":          sum_{n<=N} 1 / f(n)^(2r)
 
-    Summation is exact (no floating point); a divide-and-conquer combine
-    keeps the big-rational arithmetic near the top of the recursion tree.
+    Summation is exact (no floating point) and runs on integer pairs; a
+    divide-and-conquer combine keeps the big-rational arithmetic near the top
+    of the recursion tree.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode == "harmonic_over_f":
-        _, total = _prefix_weighted_sum(spec, r, 1, N + 1)
-        return total
-    if mode == "fzeta":
-        return _range_sum(spec, r, 1, N + 1)
-    if mode == "fzeta2r":
-        return _range_sum(spec, 2 * r, 1, N + 1)
-    raise ValueError(f"unknown mode {mode!r}")
+        return Fraction(*_prefix_weighted_sum(_terms(spec, r, N), N)[1])
+    if mode not in ("fzeta", "fzeta2r"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return Fraction(*_range_sum(_terms(spec, 2 * r if mode == "fzeta2r" else r, N), N))
+
+
+def fzeta_and_harmonic_sums(spec: FSpec, r: int, N: int) -> Tuple[Fraction, Fraction]:
+    """The "fzeta" and "harmonic_over_f" sums of euler_sum_numeric, from one pass."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return tuple(Fraction(*s) for s in _prefix_weighted_sum(_terms(spec, r, N), N))
 
 
 _FLOOR_DOUBLINGS = 3
@@ -497,16 +503,14 @@ def _enclose(spec: FSpec, power: int, N: int, bits: int, weighted: bool) -> Tupl
     n <= N with a_n = 1/f(n)^power, or the prefix-weighted sum
     (A^2 + sum a_n^2)/2 when ``weighted``.  Terms are streamed."""
     a_lo = a_hi = sq_lo = sq_hi = 0
-    for n in range(1, N + 1):
-        fr = eval_f_scalar(spec, n) ** power
-        num, den = fr.numerator, fr.denominator
-        q, rem = divmod(den << bits, num)
-        a_lo += q
-        a_hi += q + (rem != 0)
+    for p, q in _terms(spec, power, N):
+        fl, rem = divmod(p << bits, q)
+        a_lo += fl
+        a_hi += fl + (rem != 0)
         if weighted:
-            q, rem = divmod(den * den << 2 * bits, num * num)
-            sq_lo += q
-            sq_hi += q + (rem != 0)
+            fl, rem = divmod(p * p << 2 * bits, q * q)
+            sq_lo += fl
+            sq_hi += fl + (rem != 0)
     if not weighted:
         return a_lo, a_hi, bits
     if a_lo >= 0:
@@ -518,23 +522,49 @@ def _enclose(spec: FSpec, power: int, N: int, bits: int, weighted: bool) -> Tupl
     return a2_lo + sq_lo, a2_hi + sq_hi, 2 * bits + 1
 
 
-def _range_sum(spec: FSpec, power: int, lo: int, hi: int) -> Fraction:
-    if hi - lo == 1:
-        return Fraction(1) / eval_f_scalar(spec, lo) ** power
-    mid = (lo + hi) // 2
-    return _range_sum(spec, power, lo, mid) + _range_sum(spec, power, mid, hi)
+# The exact sums carry each rational as an integer pair (p, q) in lowest terms
+# with q > 0, Fraction's own invariant, and combine pairs with the gcd-reduced
+# add and multiply that Fraction uses (Knuth, TAOCP vol. 2, 4.5.1).
 
 
-def _prefix_weighted_sum(spec: FSpec, r: int, lo: int, hi: int) -> Tuple[Fraction, Fraction]:
-    """Return (A, T) over [lo, hi) with a_n = 1/f(n)^r, A = sum a_n and
-    T = sum_{lo<=n<hi} (sum_{lo<=k<=n} a_k) a_n."""
-    if hi - lo == 1:
-        a = Fraction(1) / eval_f_scalar(spec, lo) ** r
-        return a, a * a
-    mid = (lo + hi) // 2
-    A1, T1 = _prefix_weighted_sum(spec, r, lo, mid)
-    A2, T2 = _prefix_weighted_sum(spec, r, mid, hi)
-    return A1 + A2, T1 + T2 + A1 * A2
+def _terms(spec: FSpec, power: int, N: int) -> Iterator[tuple]:
+    """a_n = 1/f(n)^power for n <= N, streamed as pairs."""
+    e = abs(power)
+    for num, den in f_pairs(spec, 1, N + 1):
+        p, q = (den ** e, num ** e) if power >= 0 else (num ** e, den ** e)
+        yield (p, q) if q > 0 else (-p, -q)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    (na, da), (nb, db) = a, b
+    g = math.gcd(da, db)
+    t = na * (db // g) + nb * (da // g)
+    g2 = math.gcd(t, g)
+    return t // g2, (da // g) * (db // g2)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    (na, da), (nb, db) = a, b
+    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+    return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+
+def _range_sum(terms: Iterator[tuple], count: int) -> tuple:
+    """Sum of the next ``count`` pairs of ``terms``."""
+    if count == 1:
+        return next(terms)
+    return _add(_range_sum(terms, count // 2), _range_sum(terms, count - count // 2))
+
+
+def _prefix_weighted_sum(terms: Iterator[tuple], count: int) -> Tuple[tuple, tuple]:
+    """(A, T) over the next ``count`` pairs: A = sum a_n, T = sum_{k<=n} a_k a_n."""
+    if count == 1:
+        a = next(terms)
+        return a, (a[0] * a[0], a[1] * a[1])
+    half = count // 2
+    A1, T1 = _prefix_weighted_sum(terms, half)
+    A2, T2 = _prefix_weighted_sum(terms, count - half)
+    return _add(A1, A2), _add(_add(T1, T2), _mul(A1, A2))
 
 
 def hf_weighted_partial(

@@ -18,7 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from itertools import accumulate, islice, repeat
+from math import gcd, lcm
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly
 
@@ -40,6 +43,13 @@ class FSpec:
     def symbolic(self) -> bool:
         """True when f values are monomials in the formal variable q."""
         return self.kind == "qpow" and self.params[0] is None
+
+    @cached_property
+    def _int_coeffs(self) -> Tuple[Tuple[int, ...], int]:
+        """(c, d) with f(n) = sum_i c[i] n^i / d, for the linear and poly kinds."""
+        coeffs = self.params[::-1] if self.kind == "linear" else self.params
+        den = lcm(*(c.denominator for c in coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
     def render(self) -> str:
         if self.kind == "linear":
@@ -110,55 +120,52 @@ def parse_fspec(text: str) -> FSpec:
     raise FSpecError(f"unknown fspec kind {kind!r}")
 
 
-def eval_f_scalar(spec: FSpec, n: int) -> Fraction:
-    """Fast path for numeric specs: f(n) as a plain Fraction.
-
-    Avoids LaurentPoly wrapping in tight summation loops.  Symbolic q-power
-    specs are rejected.
-    """
-    if n < 1:
-        raise FSpecError(f"f is defined for n >= 1, got n={n}")
-    if spec.kind == "linear":
-        a, b = spec.params
-        value = a * n + b
-    elif spec.kind == "poly":
-        value = sum((c * Fraction(n) ** i for i, c in enumerate(spec.params)), Fraction(0))
+def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+    """f(n) for lo <= n < hi as integer pairs (num, den), den > 0, unreduced."""
+    if spec.kind in ("linear", "poly"):
+        ints, den = spec._int_coeffs
+        if spec.kind == "linear":  # one integer add per term
+            offset, step = ints
+            nums = islice(accumulate(repeat(step), initial=offset + step * lo), hi - lo)
+        else:
+            nums = (sum(c * n ** i for i, c in enumerate(ints)) for n in range(lo, hi))
+        yield from zip(nums, repeat(den))
     elif spec.kind == "qpow":
         base, offset = spec.params
         if base is None:
             raise FSpecError("symbolic q-power spec has no scalar value")
-        value = base ** (n + offset)
+        for n in range(lo, hi):  # Fraction's power keeps 0 ** -k a ZeroDivisionError
+            yield (base ** (n + offset)).as_integer_ratio()
     elif spec.kind == "table":
-        if n > len(spec.table):
-            raise FSpecError(f"f({n}) is outside the table (length {len(spec.table)})")
-        value = spec.table[n - 1]
+        for n in range(lo, hi):
+            if n > len(spec.table):
+                raise FSpecError(f"f({n}) is outside the table (length {len(spec.table)})")
+            yield spec.table[n - 1].as_integer_ratio()
     else:
         raise FSpecError(f"unknown fspec kind {spec.kind!r}")
-    if value == 0:
-        raise FSpecError(f"f({n}) = 0 for spec {spec.render()!r}")
-    return Fraction(value)
+
+
+def f_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+    """The one numeric evaluator: f(n) for lo <= n < hi, in order, as integer
+    pairs (num, den) in lowest terms with den > 0.  Raises FSpecError for
+    n < 1, a symbolic q-power spec, n past the end of a table, and f(n) = 0."""
+    if lo < 1:
+        raise FSpecError(f"f is defined for n >= 1, got n={lo}")
+    for n, (num, den) in enumerate(_raw_pairs(spec, lo, hi), lo):
+        if not num:
+            raise FSpecError(f"f({n}) = 0 for spec {spec.render()!r}")
+        g = gcd(num, den)
+        yield num // g, den // g
+
+
+def eval_f_scalar(spec: FSpec, n: int) -> Fraction:
+    """f(n) as a plain Fraction, for numeric specs."""
+    return Fraction(*next(f_pairs(spec, n, n + 1)))
 
 
 def eval_f(spec: FSpec, n: int) -> LaurentPoly:
     """Exact value of f(n) as a LaurentPoly (constant unless symbolic qpow)."""
-    if n < 1:
-        raise FSpecError(f"f is defined for n >= 1, got n={n}")
-    if spec.kind == "linear":
-        a, b = spec.params
-        value = a * n + b
-    elif spec.kind == "poly":
-        value = sum((c * Fraction(n) ** i for i, c in enumerate(spec.params)), Fraction(0))
-    elif spec.kind == "qpow":
-        base, offset = spec.params
-        if base is None:
-            return LaurentPoly.monomial(Q_VAR, n + offset)
-        value = base ** (n + offset)
-    elif spec.kind == "table":
-        if n > len(spec.table):
-            raise FSpecError(f"f({n}) is outside the table (length {len(spec.table)})")
-        value = spec.table[n - 1]
-    else:
-        raise FSpecError(f"unknown fspec kind {spec.kind!r}")
-    if value == 0:
-        raise FSpecError(f"f({n}) = 0 for spec {spec.render()!r}")
-    return LaurentPoly.constant(Q_VAR if spec.kind == "qpow" else "t", value)
+    if spec.symbolic and n >= 1:
+        return LaurentPoly.monomial(Q_VAR, n + spec.params[1])
+    num, den = next(f_pairs(spec, n, n + 1))
+    return LaurentPoly.constant(Q_VAR if spec.kind == "qpow" else "t", Fraction(num, den))

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .factorial import TParam, bang_f, bang_ft, check_config, working_var
 from .fspec import FSpec, eval_f
@@ -189,7 +189,8 @@ def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
     return acc * Fraction(1, math.factorial(j))
 
 
-def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int) -> Report:
+def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
+                            coeffs: Optional[Dict] = None) -> Report:
     """Coefficient-wise check in z of the finite geometric-series transform:
 
         sum_{j<=n} f(j)^k t^(-jk) z^j
@@ -198,8 +199,8 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int) -> Report:
     with connection coefficients c(k,j) = s2_diff_coeff(k, j) summed over
     j <= n.  When f is a degree-d polynomial in n and t = 1 the coefficients
     vanish for j > dk, truncating the sum to the column index; general f and
-    t need the full range.  The right side takes exact symbolic derivatives
-    of the expanded geometric polynomial.
+    t need the full range (``coeffs`` may hold them by (k, j)).  The right
+    side takes exact symbolic derivatives of the expanded geometric polynomial.
     """
     tp = check_config(spec, t)
     var = working_var(spec, tp)
@@ -215,7 +216,7 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int) -> Report:
             lhs[j] = as_laurent(eval_f(spec, j), var) ** k * tp ** (-(j * k))
     rhs = [zero] * (n + 1)
     for j in range(n + 1):
-        coeff = s2_diff_coeff(spec, t, k, j)
+        coeff = coeffs[k, j] if coeffs else s2_diff_coeff(spec, t, k, j)
         if coeff.is_zero():
             continue
         # D_z^j[sum_{i<=n} z^i] = sum_i perm(i, j) z^(i-j); the z^j prefactor

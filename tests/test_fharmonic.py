@@ -283,3 +283,85 @@ def test_hf_weighted_anchors():
         h = sum(Fraction(1, k * k) for k in range(1, n + 1))
         acc += h * h / Fraction(n * n)
     assert hf_weighted_partial(spec, [2, 2], 2, Fraction(1), Fraction(1), N) == acc
+
+
+# Each numeric spec comes with its own f(n), written here without the package's
+# evaluator; None marks n past the end of a table.
+_kernel_values = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+_kernel_specs = st.one_of(
+    st.tuples(_kernel_values, _kernel_values).map(
+        lambda ab: (linear(*ab), lambda n: ab[0] * n + ab[1])),
+    st.lists(_kernel_values, min_size=1, max_size=3).map(
+        lambda cs: (poly(*cs), lambda n: sum(c * n ** i for i, c in enumerate(cs)))),
+    st.tuples(_kernel_values.filter(bool), st.integers(-5, 2)).map(
+        lambda bo: (qpow(bo[1], base=bo[0]), lambda n: bo[0] ** (n + bo[1]))),
+    st.lists(_kernel_values.filter(bool), min_size=1, max_size=60).map(
+        lambda vs: (table(vs), lambda n: vs[n - 1] if n <= len(vs) else None)),
+)
+
+
+def _sequential_euler_sums(f, r, N):
+    """Term-by-term Fraction sums: {mode: sum over n <= N}."""
+    fzeta = fzeta2r = harmonic = Fraction(0)
+    for n in range(1, N + 1):
+        a = 1 / Fraction(f(n)) ** r
+        fzeta += a
+        fzeta2r += a * a
+        harmonic += fzeta * a
+    return {"harmonic_over_f": harmonic, "fzeta": fzeta, "fzeta2r": fzeta2r}
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_f=_kernel_specs, r=st.integers(-1, 3), N=st.integers(1, 60))
+def test_euler_sum_numeric_matches_sequential_fraction_sums(spec_f, r, N):
+    from fstirling.fharmonic import (
+        _prefix_weighted_sum,
+        _range_sum,
+        _terms,
+        fzeta_and_harmonic_sums,
+    )
+    from fstirling.fspec import eval_f_scalar
+
+    spec, f = spec_f
+    bad = next((n for n in range(1, N + 1) if not f(n)), None)
+    if bad is not None:
+        with pytest.raises(FSpecError) as want:
+            eval_f_scalar(spec, bad)
+        for mode in EULER_MODES:
+            with pytest.raises(FSpecError) as got:
+                euler_sum_numeric(spec, r, N, mode)
+            assert str(got.value) == str(want.value)
+        return
+    ref = _sequential_euler_sums(f, r, N)
+    for mode in EULER_MODES:
+        got = euler_sum_numeric(spec, r, N, mode)
+        assert (got.numerator, got.denominator) == (ref[mode].numerator, ref[mode].denominator)
+    assert fzeta_and_harmonic_sums(spec, r, N) == (ref["fzeta"], ref["harmonic_over_f"])
+    # Before any Fraction is built, the kernel's pairs are already in lowest
+    # terms with a positive denominator.
+    A, T = _prefix_weighted_sum(_terms(spec, r, N), N)
+    pairs = [
+        ("fzeta", _range_sum(_terms(spec, r, N), N)),
+        ("fzeta2r", _range_sum(_terms(spec, 2 * r, N), N)),
+        ("fzeta", A),
+        ("harmonic_over_f", T),
+    ]
+    for mode, pair in pairs:
+        assert pair == (ref[mode].numerator, ref[mode].denominator)
+
+
+@pytest.mark.parametrize(
+    "spec,bad", [(linear(1, -3), 3), (poly(-4, 0, 1), 2), (table([2, -1, 5]), 4)]
+)
+def test_euler_sums_raise_the_evaluator_error(spec, bad):
+    """A zero f(n), or n past the table, fails every sum with eval_f_scalar's message."""
+    from fstirling.fspec import eval_f_scalar
+
+    with pytest.raises(FSpecError) as want:
+        eval_f_scalar(spec, bad)
+    for mode in EULER_MODES:
+        for call in (lambda: euler_sum_numeric(spec, 3, 5, mode),
+                     lambda: euler_sum_floor(spec, 3, 5, mode, 10 ** 6)):
+            with pytest.raises(FSpecError) as got:
+                call()
+            assert str(got.value) == str(want.value)

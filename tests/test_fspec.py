@@ -99,3 +99,50 @@ def test_zero_values_rejected():
 def test_malformed_specs_rejected(text):
     with pytest.raises(FSpecError):
         parse_fspec(text)
+
+
+_pair_values = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.builds(linear, _pair_values, _pair_values),
+        st.lists(_pair_values, min_size=1, max_size=4).map(lambda cs: poly(*cs)),
+        st.builds(qpow, st.integers(-5, 3), _pair_values.filter(bool)),
+        st.lists(_pair_values.filter(bool), min_size=1, max_size=12).map(table),
+    ),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+)
+def test_integer_pairs_match_both_evaluators(spec, lo, count):
+    """f_pairs streams f(lo), ..., f(lo + count - 1) as coprime (num, den) with
+    den > 0; each equals eval_f_scalar and eval_f's constant, and every error
+    is the one eval_f_scalar raises at the same n."""
+    from math import gcd
+
+    from fstirling.fspec import f_pairs
+
+    got = []
+    try:
+        for pair in f_pairs(spec, lo, lo + count):
+            got.append(pair)
+    except FSpecError as exc:
+        with pytest.raises(FSpecError) as want:
+            eval_f_scalar(spec, lo + len(got))
+        assert str(exc) == str(want.value)
+    for n, (num, den) in enumerate(got, lo):
+        assert den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == eval_f_scalar(spec, n) == eval_f(spec, n).constant_value()
+        assert next(f_pairs(spec, n, n + 1)) == (num, den)
+
+
+def test_integer_pairs_reject_what_eval_f_scalar_rejects():
+    from fstirling.fspec import f_pairs
+
+    for spec, n in ((linear(1, 0), 0), (qpow(1), 2), (linear(2, -6), 3), (table([1, 2]), 3)):
+        with pytest.raises(FSpecError) as want:
+            eval_f_scalar(spec, n)
+        with pytest.raises(FSpecError) as got:
+            list(f_pairs(spec, n, n + 1))
+        assert str(got.value) == str(want.value)
