@@ -2,19 +2,17 @@
 triangles, p-order f-harmonic numbers, and convolution-polynomial analogs."""
 
 from .cyclotomic import CyclotomicElem, is_prime
-from .factorial import bang_f, bang_ft, check_config, normalize_t, pochhammer_poly
+from .factorial import bang_f, bang_ft, check_config, normalize_t
 from .fharmonic import (
     euler_sum_numeric,
     fharmonic_direct,
     harmonic_via_ftilde,
     harmonic_via_roots,
     harmonic_via_subst,
-    hf_weighted_partial,
-    nielsen_partial,
     wf_table,
 )
 from .fspec import FSpec, FSpecError, eval_f, linear, parse_fspec, poly, qpow, table
-from .laurent import LaurentPoly, as_laurent, poly_product_expand
+from .laurent import LaurentPoly, as_laurent
 from .report import CheckCell, Report
 from .series import TruncSeries, geometric_minus_one_over
 from .stirling import (
@@ -45,15 +43,11 @@ __all__ = [
     "harmonic_via_ftilde",
     "harmonic_via_roots",
     "harmonic_via_subst",
-    "hf_weighted_partial",
     "is_prime",
     "linear",
-    "nielsen_partial",
     "normalize_t",
     "parse_fspec",
     "poly",
-    "poly_product_expand",
-    "pochhammer_poly",
     "qpow",
     "s1_entry_oracle",
     "s1_triangle",

@@ -102,33 +102,18 @@ def cmd_triangle(args) -> int:
     t = _parse_t(args.t)
     if args.kind == "s1":
         tri = stirling.s1_triangle(spec, t, args.rows)
-        if args.format == "json":
-            _emit(json.dumps(tri.to_json(), indent=2), args.output)
-        else:
-            _emit(tri.to_csv(), args.output)
-        return 0
-    if args.kind == "s2":
-        rows = [
-            [stirling.s2_entry(spec, t, n, k) for k in range(n + 1)]
+    else:
+        tp = check_config(spec, t)
+        entries = tuple(
+            tuple(stirling.s2_entry(spec, tp, n, k) for k in range(n + 1))
             for n in range(args.rows + 1)
-        ]
-        if args.format == "json":
-            payload = {
-                "f": spec.render(),
-                "t": args.t,
-                "rows": [[render_value(e) for e in row] for row in rows],
-            }
-            _emit(json.dumps(payload, indent=2), args.output)
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["n", "k", "entry"])
-            for n, row in enumerate(rows):
-                for k, e in enumerate(row):
-                    writer.writerow([n, k, str(e)])
-            _emit(buf.getvalue(), args.output)
-        return 0
-    raise UsageError(f"unknown triangle kind {args.kind!r}")
+        )
+        tri = stirling.Triangle(spec, tp, args.rows, entries)
+    if args.format == "json":
+        _emit(json.dumps(tri.to_json(), indent=2), args.output)
+    else:
+        _emit(tri.to_csv(), args.output)
+    return 0
 
 
 def cmd_harmonic(args) -> int:
@@ -348,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="compute a triangle")
     common(p)
     p.add_argument("--kind", choices=["s1", "s2"], default="s1")
-    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--rows", type=_nonnegative_int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("harmonic", help="compute a p-order f-harmonic number")
     common(p)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--method", choices=["direct", "ftilde", "roots", "subst"],
                    default="direct")
     p.set_defaults(func=cmd_harmonic)
@@ -363,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convpoly", help="tabulate convolution polynomial analogs")
     common(p)
     p.add_argument("--variant", choices=["sigma", "sigma~"], default="sigma")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--x-max", type=int, required=True)
+    p.add_argument("--n-max", type=_nonnegative_int, required=True)
+    p.add_argument("--x-max", type=_nonnegative_int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_convpoly)
 
@@ -380,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", required=True,
                    help="suite name or 'all': " + ", ".join(SUITES))
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_nonnegative_int, default=8)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,5 +1,5 @@
-"""Generalized product functions: the parameterized Pochhammer polynomial in x
-and the two factorial normalizations built from f.
+"""Generalized factorials: the two factorial normalizations built from f, and
+the validation of the t parameter they share with every other module.
 
 The parameter t may be an exact rational, the formal variable itself, or a
 monomial power of a substitution variable (used to realize fractional powers
@@ -9,12 +9,11 @@ numeric t, and vice versa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import Union
 
 from .fspec import FSpec, FSpecError, eval_f
-from .laurent import LaurentPoly, as_laurent, poly_product_expand
+from .laurent import LaurentPoly, as_laurent
 
 TParam = Union[int, Fraction, LaurentPoly, str]
 
@@ -50,39 +49,6 @@ def working_var(spec: FSpec, t: LaurentPoly) -> str:
     if not t.is_constant():
         return t.var
     return "t"
-
-
-@dataclass(frozen=True)
-class PochhammerExpansion:
-    """Coefficients of x^(k-1), k = 1..n, in the degree-(n-1) monic product."""
-
-    n: int
-    coeffs: tuple  # LaurentPoly entries, constant term first
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def pochhammer_roots(spec: FSpec, t: TParam, n: int) -> List[LaurentPoly]:
-    """The n-1 root offsets f(k) * t^(-k), k = 1..n-1."""
-    tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    return [
-        as_laurent(eval_f(spec, k), var) * (tp ** (-k)) for k in range(1, n)
-    ]
-
-
-def pochhammer_poly(spec: FSpec, t: TParam, n: int) -> PochhammerExpansion:
-    """Expand the n-term generalized factorial product as a polynomial in x.
-
-    n = 0 and n = 1 both give the empty product, the constant polynomial 1.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    coeffs = poly_product_expand(pochhammer_roots(spec, t, n))
-    return PochhammerExpansion(n, tuple(as_laurent(c, var) for c in coeffs))
 
 
 def bang_f(spec: FSpec, n: int) -> LaurentPoly:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .cyclotomic import CyclotomicElem, is_prime
 from .factorial import TParam, bang_f, bang_ft, check_config, working_var
-from .fspec import FSpec, eval_f, eval_f_scalar, f_pairs
+from .fspec import FSpec, eval_f, f_pairs
 from .laurent import LaurentPoly, as_laurent
 from .report import Report
 from .series import TruncSeries
@@ -42,13 +42,11 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     return acc
 
 
-def ftilde_series(spec: FSpec, t: TParam, n: int, order: Optional[int] = None) -> TruncSeries:
+def ftilde_series(spec: FSpec, t: TParam, n: int, order: int) -> TruncSeries:
     """Row generating polynomial sum_{k=2}^{n+1} entry(n+1, k) w^k as a
-    truncated series in w (order defaults to n+1)."""
+    truncated series in w of the given order."""
     tp = check_config(spec, t)
     var = working_var(spec, tp)
-    if order is None:
-        order = max(n + 1, 2)
     tri = s1_triangle(spec, tp, n + 1)
     coeffs = [LaurentPoly.constant(var, 0)] * (order + 1)
     for k in range(2, min(n + 1, order) + 1):
@@ -81,38 +79,6 @@ def harmonic_via_ftilde(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     return scale * acc
 
 
-def isobaric_terms(
-    spec: FSpec, t: TParam, p: int, n: int
-) -> Iterator[Tuple[Tuple[int, ...], LaurentPoly]]:
-    """Enumerate the monomials of the [w^(2p)] extraction with their lower
-    triangle indices.  Every yielded index tuple carries total weight 2p;
-    summing the values and applying the factorial scale reproduces the
-    harmonic partial sum."""
-    tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    tri = s1_triangle(spec, tp, n + 1)
-    b1 = tri.entry(n + 1, 1)
-    for j in range(p):
-        r = p - j
-        # ordered tuples (k_1..k_r), each k_i >= 2, summing to 2p - j
-        for ks in _compositions(2 * p - j, r, low=2, high=n + 1):
-            prod = LaurentPoly.constant(var, 1)
-            for k in ks:
-                prod = prod * tri.entry(n + 1, k)
-            value = prod * b1 ** j * Fraction((-1) ** j * p, p - j)
-            yield (1,) * j + ks, value
-
-
-def _compositions(total: int, parts: int, low: int, high: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(low, min(high, total - low * (parts - 1)) + 1):
-        for rest in _compositions(total - first, parts - 1, low, high):
-            yield (first,) + rest
-
-
 def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     """Generate sum_{k<=n} t^(pk)/f(k)^p from the p-fold product of
     root-of-unity-twisted row polynomials (prime p only):
@@ -142,16 +108,16 @@ def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     return scale * as_laurent(rational, var) * Fraction((-1) ** (p + 1))
 
 
-def harmonic_via_subst(spec: FSpec, p: int, n: int, u: TParam = "u") -> LaurentPoly:
+def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:
     """Generate sum_{k<=n} t^k/f(k)^p with t = u^p via a triangle built at the
     substitution parameter u (so fractional powers of t never appear).
 
-    The result is expressed in u (or evaluated, when u is numeric); the
-    harmonic-routes suite compares it with the direct sum at t = u^p.
+    The result is a Laurent polynomial in u; the harmonic-routes suite
+    compares it with the direct sum at t = u^p.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    up = check_config(spec, u)
+    up = check_config(spec, "u")
     if is_prime(p) and p <= 5:
         return harmonic_via_roots(spec, up, p, n)
     return harmonic_via_ftilde(spec, up, p, n)
@@ -269,7 +235,7 @@ def corollary_expansions_check(spec: FSpec, t: TParam, N: int) -> Report:
 # -- propositions ----------------------------------------------------------
 
 
-def prop1_recurrence_check(spec: FSpec, p: int, n: int, u: TParam = "u") -> Report:
+def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     """Evaluate every term of the p -> p+1 coefficient-product recurrence
     exactly and report the residual LHS - RHS.
 
@@ -278,7 +244,7 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int, u: TParam = "u") -> Repo
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    up = check_config(spec, u)
+    up = check_config(spec, "u")
     var = working_var(spec, up)
     L = p * (p + 1)
     t_full = up ** L          # t
@@ -423,24 +389,6 @@ def stirling_harmonic_identity_check(p: int, n: int) -> Report:
 # -- numeric series --------------------------------------------------------
 
 
-def nielsen_partial(t_idx: int, k: int, z, N: int) -> Fraction:
-    """Exact N-term partial sum of the Nielsen-type series
-    sum_n entry(n, k) z^n / (n^t_idx n!), classical first-kind numbers."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    from .fspec import linear
-
-    z = Fraction(z)
-    tri = s1_triangle(linear(1, 0), 1, N)
-    acc = Fraction(0)
-    for n in range(1, N + 1):
-        entry = tri.entry(n, k).constant_value() if k <= n else Fraction(0)
-        if entry == 0:
-            continue
-        acc += entry * z ** n / (Fraction(n) ** t_idx * math.factorial(n))
-    return acc
-
-
 def euler_sum_numeric(spec: FSpec, r: int, N: int, mode: str) -> Fraction:
     """Exact rational partial sum of the selected Euler-like series.
 
@@ -565,30 +513,3 @@ def _prefix_weighted_sum(terms: Iterator[tuple], count: int) -> Tuple[tuple, tup
     A1, T1 = _prefix_weighted_sum(terms, half)
     A2, T2 = _prefix_weighted_sum(terms, count - half)
     return _add(A1, A2), _add(_add(T1, T2), _mul(A1, A2))
-
-
-def hf_weighted_partial(
-    spec: FSpec,
-    orders: Sequence[int],
-    s: int,
-    t,
-    z,
-    N: int,
-) -> Fraction:
-    """Exact N-term partial sum of the weighted series
-    sum_n (prod_i F_n^(w_i)(t^(w_i))) z^(s n) / f(n)^s."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    t = Fraction(t)
-    z = Fraction(z)
-    prefix = {w: Fraction(0) for w in set(orders)}
-    acc = Fraction(0)
-    for n in range(1, N + 1):
-        fn = eval_f_scalar(spec, n)
-        for w in prefix:
-            prefix[w] += (t ** w) ** n / fn ** w
-        prod = Fraction(1)
-        for w in orders:
-            prod *= prefix[w]
-        acc += prod * z ** (s * n) / fn ** s
-    return acc

@@ -134,7 +134,10 @@ def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
         base, offset = spec.params
         if base is None:
             raise FSpecError("symbolic q-power spec has no scalar value")
-        for n in range(lo, hi):  # Fraction's power keeps 0 ** -k a ZeroDivisionError
+        for n in range(lo, hi):
+            if not base and n + offset < 0:
+                raise FSpecError(
+                    f"f({n}) = 0^{n + offset} is undefined for spec {spec.render()!r}")
             yield (base ** (n + offset)).as_integer_ratio()
     elif spec.kind == "table":
         for n in range(lo, hi):
@@ -148,7 +151,8 @@ def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
 def f_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
     """The one numeric evaluator: f(n) for lo <= n < hi, in order, as integer
     pairs (num, den) in lowest terms with den > 0.  Raises FSpecError for
-    n < 1, a symbolic q-power spec, n past the end of a table, and f(n) = 0."""
+    n < 1, a symbolic q-power spec, n past the end of a table, f(n) = 0, and
+    a zero q-power base raised to a negative power."""
     if lo < 1:
         raise FSpecError(f"f is defined for n >= 1, got n={lo}")
     for n, (num, den) in enumerate(_raw_pairs(spec, lo, hi), lo):

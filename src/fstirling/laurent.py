@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -122,16 +122,6 @@ class LaurentPoly:
         i = exponent - self.lo
         return Fraction(self.num[i] if 0 <= i < len(self.num) else 0, self.den)
 
-    def min_exponent(self) -> int:
-        if not self.num:
-            raise ValueError("zero polynomial has no exponents")
-        return self.lo
-
-    def max_exponent(self) -> int:
-        if not self.num:
-            raise ValueError("zero polynomial has no exponents")
-        return self.lo + len(self.num) - 1
-
     # -- coercion ----------------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPoly":
@@ -211,19 +201,6 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def substitute(self, value) -> "LaurentPoly | Fraction":
-        """Evaluate at ``var = value`` (a rational or another LaurentPoly)."""
-        if isinstance(value, LaurentPoly):
-            acc = LaurentPoly.constant(value.var, 0)
-            for e, c in self.terms.items():
-                acc = acc + value ** e * c
-            return acc
-        value = _as_fraction(value)
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            acc += c * value ** e
-        return acc
-
     # -- equality / rendering ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -269,10 +246,6 @@ class LaurentPoly:
             "terms": {str(e): str(c) for e, c in self.terms.items()},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls(data["var"], {int(e): Fraction(c) for e, c in data["terms"].items()})
-
 
 def as_laurent(value, var: str) -> LaurentPoly:
     """Coerce a rational or LaurentPoly to a LaurentPoly in ``var``."""
@@ -281,19 +254,3 @@ def as_laurent(value, var: str) -> LaurentPoly:
             return _make(var, value.lo, value.num, value.den)
         return value
     return LaurentPoly.constant(var, _as_fraction(value))
-
-
-def poly_product_expand(roots: Iterable) -> list:
-    """Expand prod_i (x + r_i) into coefficients of x, constant term first.
-
-    Returns [c_0, ..., c_m] with m the number of roots and c_m = 1 (monic).
-    The empty product returns [1].  Roots may be rationals or LaurentPoly.
-    """
-    coeffs = [Fraction(1)]
-    for r in roots:
-        nxt = [r * coeffs[0]]
-        for i in range(1, len(coeffs)):
-            nxt.append(coeffs[i - 1] + r * coeffs[i])
-        nxt.append(coeffs[-1])
-        coeffs = nxt
-    return coeffs

@@ -7,11 +7,10 @@ is documented with its witness values instead of aborting a sweep.
 from __future__ import annotations
 
 import contextlib
-import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .laurent import LaurentPoly
 
@@ -107,11 +106,3 @@ class Report:
             "pass": self.passed,
             "cells": [c.to_json() for c in self.cells],
         }
-
-    def to_json_str(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=False)
-
-    def summary(self) -> str:
-        n_fail = len(self.failures)
-        status = "pass" if n_fail == 0 else f"FAIL ({n_fail}/{len(self.cells)} cells)"
-        return f"{self.identity}: {status}"

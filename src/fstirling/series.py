@@ -30,10 +30,6 @@ class TruncSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def from_coeffs(cls, var: str, coeffs: Sequence) -> "TruncSeries":
-        return cls(var, len(list(coeffs)) - 1, coeffs)
-
-    @classmethod
     def constant(cls, var: str, value, order: int) -> "TruncSeries":
         return cls(var, order, [value])
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ ORACLE_CAP = 15
 
 @dataclass(frozen=True)
 class Triangle:
-    """Dense first-kind triangle: entry(n, k) for 0 <= k <= n <= rows."""
+    """Dense triangle of either kind: entry(n, k) for 0 <= k <= n <= rows."""
 
     spec: FSpec
     t: LaurentPoly
@@ -43,9 +42,6 @@ class Triangle:
         if n > self.rows:
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
-
-    def row(self, n: int) -> tuple:
-        return self.entries[n]
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ import pytest
 from fstirling import stirling
 from fstirling.cli import main
 from fstirling.fspec import linear
-from fstirling.report import digits_unlimited
+from fstirling.report import digits_unlimited, render_value
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TABLE_ARG = f"table:{os.path.join(DATA, 'table12.json')}"
@@ -64,6 +64,24 @@ def test_second_kind_triangle(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rows"][1][1] == "1"
+
+
+@pytest.mark.parametrize("t_arg,t_json", [("1.5", "3/2"), ("sym", "symbolic")])
+def test_second_kind_json_matches_first_kind_t_and_s2_entry(t_arg, t_json, capsys):
+    payloads = {}
+    for kind in ("s1", "s2"):
+        code, out, _ = run_cli(
+            ["triangle", "--kind", kind, "--f", "linear:2,1", "--t", t_arg,
+             "--rows", "4", "--format", "json"], capsys
+        )
+        assert code == 0
+        payloads[kind] = json.loads(out)
+    assert payloads["s2"]["t"] == payloads["s1"]["t"] == t_json
+    t = Fraction(3, 2) if t_json == "3/2" else "t"
+    assert payloads["s2"]["rows"] == [
+        [render_value(stirling.s2_entry(linear(2, 1), t, n, k)) for k in range(n + 1)]
+        for n in range(5)
+    ]
 
 
 def test_harmonic_value_and_decimal(capsys):
@@ -143,6 +161,35 @@ def test_negative_decimal_is_a_usage_error(capsys):
         assert out == ""
         assert "error: argument --decimal: must be >= 0" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["triangle", "--kind", "s1", "--f", "linear:1,0"], "--rows"),
+    (["triangle", "--kind", "s2", "--f", "linear:1,0"], "--rows"),
+    (["harmonic", "--f", "linear:1,0", "--p", "2", "--method", "direct"], "--n"),
+    (["harmonic", "--f", "linear:1,0", "--p", "2", "--method", "ftilde"], "--n"),
+    (["convpoly", "--f", "linear:1,0", "--x-max", "3"], "--n-max"),
+    (["convpoly", "--f", "linear:1,0", "--n-max", "1"], "--x-max"),
+    (["verify", "--suite", "wf", "--f", "linear:1,0"], "--max-n"),
+], ids=["triangle-s1", "triangle-s2", "harmonic-direct", "harmonic-ftilde",
+        "convpoly-n-max", "convpoly-x-max", "verify"])
+def test_negative_counts_are_usage_errors(argv, flag, capsys):
+    code, out, err = run_cli(argv + [flag, "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flag}: must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eulersum", "--f", "qpow:0,-2", "--r", "1", "--N", "3"],
+    ["triangle", "--f", "qpow:0,-2", "--rows", "4"],
+], ids=["eulersum", "triangle"])
+def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: f(1) = 0^-1 is undefined" in err
+    assert "Traceback" not in err
 
 
 def test_verify_single_suite_exit_zero(capsys):

@@ -86,7 +86,7 @@ def test_eulerian2_identity():
 
 
 def test_shifted_family_t0_is_identity():
-    S = TruncSeries.from_coeffs("z", [Fraction(1), Fraction(1)])
+    S = TruncSeries("z", 1, [Fraction(1), Fraction(1)])
     G = solve_shifted_family([1, 1], 0, 5)
     assert G.coeffs[:2] == [Fraction(1), Fraction(1)]
     assert all(c == 0 for c in G.coeffs[2:])
@@ -110,8 +110,8 @@ def test_conv_shift_binomial_anchor():
 def test_conv_shift_all_required_shifts():
     for t_shift in (0, 1, 2):
         assert conv_family_shift_check([1, 1], t_shift, 5, 6).passed
-        stirling_s = TruncSeries.exp("z", 1, 5) * TruncSeries.from_coeffs(
-            "z", [Fraction(1, __import__("math").factorial(n + 1)) for n in range(6)]
+        stirling_s = TruncSeries.exp("z", 1, 5) * TruncSeries(
+            "z", 5, [Fraction(1, __import__("math").factorial(n + 1)) for n in range(6)]
         ).inverse()
         assert conv_family_shift_check(stirling_s.coeffs, t_shift, 5, 6).passed
 

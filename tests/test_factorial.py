@@ -1,18 +1,10 @@
-"""Generalized factorial products and the t-parameter configuration rules."""
+"""Generalized factorials and the t-parameter configuration rules."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
-from fstirling.factorial import (
-    bang_f,
-    bang_ft,
-    check_config,
-    normalize_t,
-    pochhammer_poly,
-    pochhammer_roots,
-)
+from fstirling.factorial import bang_f, bang_ft, check_config, normalize_t
 from fstirling.fspec import FSpecError, linear, qpow
 from fstirling.laurent import LaurentPoly
 
@@ -33,32 +25,6 @@ def test_one_formal_variable_convention():
     assert check_config(qpow(1), Fraction(2)).constant_value() == 2
     with pytest.raises(FSpecError):
         check_config(qpow(1), "t")
-
-
-def test_pochhammer_empty_products():
-    for n in (0, 1):
-        exp = pochhammer_poly(linear(1, 0), 1, n)
-        assert len(exp) == 1
-        assert exp.coeffs[0] == 1
-
-
-def test_pochhammer_classical_rising_factorial():
-    # f(n)=n, t=1: product (x+1)(x+2)...(x+n-1); at x=1 equals n!
-    spec = linear(1, 0)
-    for n in range(2, 8):
-        exp = pochhammer_poly(spec, 1, n)
-        value = sum(
-            c.constant_value() * Fraction(1) ** i for i, c in enumerate(exp.coeffs)
-        )
-        assert value == math.factorial(n)
-
-
-def test_pochhammer_symbolic_t_roots():
-    spec = linear(1, 0)
-    roots = pochhammer_roots(spec, "t", 4)
-    assert roots[0].terms == {-1: Fraction(1)}
-    assert roots[1].terms == {-2: Fraction(2)}
-    assert roots[2].terms == {-3: Fraction(3)}
 
 
 def test_bang_f_and_bang_ft():

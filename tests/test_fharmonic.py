@@ -18,9 +18,6 @@ from fstirling.fharmonic import (
     harmonic_via_ftilde,
     harmonic_via_roots,
     harmonic_via_subst,
-    hf_weighted_partial,
-    isobaric_terms,
-    nielsen_partial,
     prop1_recurrence_check,
     prop2_functional_eq_check,
     s1_from_wf_check,
@@ -88,22 +85,6 @@ def test_telescoping(spec, t):
             want = tp ** n / as_laurent(eval_f(spec, n), tp.var if not tp.is_constant() else ("q" if spec.symbolic else "t")) ** p
             assert fn == want, (p, n)
             prev = cur
-
-
-def test_isobaric_weights_and_total():
-    spec = linear(1, 0)
-    tp = check_config(spec, 1)
-    for p in (2, 3):
-        n = 4
-        total = LaurentPoly.constant("t", 0)
-        for indices, value in isobaric_terms(spec, tp, p, n):
-            assert sum(indices) == 2 * p, indices
-            total = total + value
-        from fstirling.factorial import bang_f
-        from fstirling.laurent import as_laurent
-
-        scale = tp ** (p * n * (n + 1) // 2) / as_laurent(bang_f(spec, n), "t") ** p
-        assert scale * total == fharmonic_direct(spec, p, n, tp ** p)
 
 
 @pytest.mark.parametrize("spec,t", MATRIX)
@@ -192,12 +173,6 @@ def test_classical_stirling_difference_identity():
     assert rep.cells[0].lhs == Fraction(1, 8)
 
 
-def test_nielsen_anchors():
-    assert nielsen_partial(2, 1, Fraction(1), 3) == Fraction(251, 216)
-    assert nielsen_partial(0, 1, Fraction(1), 2) == Fraction(3, 2)
-    assert nielsen_partial(2, 3, Fraction(1), 2) == 0
-
-
 def test_euler_sum_anchors():
     spec = linear(1, 0)
     assert euler_sum_numeric(spec, 2, 2, "harmonic_over_f") == Fraction(21, 16)
@@ -271,18 +246,6 @@ def test_euler_sum_floor_rejects_bad_input():
         euler_sum_floor(linear(1, 0), 2, 0, "fzeta", 10)
     with pytest.raises(ValueError):
         euler_sum_floor(linear(1, 0), 2, 3, "no-such-mode", 10)
-
-
-def test_hf_weighted_anchors():
-    spec = linear(1, 0)
-    assert hf_weighted_partial(spec, [1], 1, Fraction(1), Fraction(1), 2) == Fraction(7, 4)
-    # triple-sum oracle for orders [2,2], s=2
-    N = 3
-    acc = Fraction(0)
-    for n in range(1, N + 1):
-        h = sum(Fraction(1, k * k) for k in range(1, n + 1))
-        acc += h * h / Fraction(n * n)
-    assert hf_weighted_partial(spec, [2, 2], 2, Fraction(1), Fraction(1), N) == acc
 
 
 # Each numeric spec comes with its own f(n), written here without the package's

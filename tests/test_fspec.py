@@ -92,6 +92,15 @@ def test_zero_values_rejected():
         eval_f(linear(1, 0), 0)
 
 
+def test_zero_qpow_base_to_a_negative_power_rejected():
+    spec = parse_fspec("qpow:0,-2")  # f(n) = 0^(n-2)
+    with pytest.raises(FSpecError, match=r"f\(1\) = 0\^-1 is undefined"):
+        eval_f(spec, 1)
+    assert eval_f_scalar(spec, 2) == 1  # 0^0
+    with pytest.raises(FSpecError, match=r"f\(3\) = 0 for spec"):
+        eval_f_scalar(spec, 3)
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "linear", "linear:1", "linear:a,b", "qpow:1,2,3", "mystery:1", "table:/no/such/file.json"],
