@@ -12,7 +12,7 @@ from .fharmonic import (
     wf_table,
 )
 from .fspec import FSpec, FSpecError, eval_f, linear, parse_fspec, poly, qpow, table
-from .laurent import LaurentPoly, as_laurent
+from .laurent import LaurentPoly
 from .report import CheckCell, Report
 from .series import TruncSeries, geometric_minus_one_over
 from .stirling import (
@@ -32,7 +32,6 @@ __all__ = [
     "Report",
     "Triangle",
     "TruncSeries",
-    "as_laurent",
     "bang_f",
     "bang_ft",
     "check_config",

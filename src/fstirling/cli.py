@@ -7,7 +7,9 @@
     fstirling verify    --suite <name>|all --f <dsl> --t <t> [--max-n N]
 
 Exit codes: 0 success with all checks passing, 1 identity-check failure
-(reports still written), 2 usage or configuration error.
+(reports still written), 2 usage or configuration error.  Bad input is
+rejected here, at the boundary; an error inside the library is a program
+fault and exits with its traceback, never with 2.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import convpoly, fharmonic, stirling
+from .cyclotomic import is_prime
 from .factorial import check_config
 from .fspec import FSpecError, parse_fspec
 from .laurent import LaurentPoly
@@ -55,9 +58,12 @@ def _parse_t(text: str):
     if text in ("sym", "symbolic", "t"):
         return "t"
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad t value {text!r}: {exc}") from exc
+    if not value:
+        raise UsageError("t must be nonzero")
+    return value
 
 
 def _fixed_str(whole: int, digits: int) -> str:
@@ -104,10 +110,7 @@ def cmd_triangle(args) -> int:
         tri = stirling.s1_triangle(spec, t, args.rows)
     else:
         tp = check_config(spec, t)
-        entries = tuple(
-            tuple(stirling.s2_entry(spec, tp, n, k) for k in range(n + 1))
-            for n in range(args.rows + 1)
-        )
+        entries = tuple(stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1))
         tri = stirling.Triangle(spec, tp, args.rows, entries)
     if args.format == "json":
         _emit(json.dumps(tri.to_json(), indent=2), args.output)
@@ -120,6 +123,10 @@ def cmd_harmonic(args) -> int:
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
     tp = check_config(spec, t)
+    if args.method == "roots" and not is_prime(args.p):
+        raise UsageError(f"root-of-unity route requires prime p, got {args.p}")
+    if args.p < 1:
+        raise UsageError("order p must be >= 1")
     if args.method == "direct":
         value = fharmonic.fharmonic_direct(spec, args.p, args.n, tp ** args.p)
     elif args.method == "ftilde":
@@ -166,6 +173,8 @@ def cmd_convpoly(args) -> int:
 
 def cmd_eulersum(args) -> int:
     spec = parse_fspec(args.f)
+    if args.N < 1:
+        raise UsageError("N must be >= 1")
     if args.decimal is None:
         value = fharmonic.euler_sum_numeric(spec, args.r, args.N, args.mode)
         _emit(_render_scalar(value, None), args.output)
@@ -289,7 +298,12 @@ def cmd_verify(args) -> int:
     max_n = args.max_n
     env_cap = os.environ.get("FSTIRLING_MAX_N")
     if env_cap:
-        max_n = int(env_cap)
+        try:
+            max_n = int(env_cap)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if max_n < 0:
+            raise UsageError("N must be >= 0")
     names = SUITES if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -382,7 +396,7 @@ def main(argv=None) -> int:
     stirling.S1_ROWS.clear()
     try:
         return args.func(args)
-    except (UsageError, FSpecError, ValueError) as exc:
+    except (UsageError, FSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

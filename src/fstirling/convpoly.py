@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .factorial import TParam, bang_f, check_config, working_var
+from .factorial import TParam, bang_f, check_config
 from .fspec import FSpec, eval_f, linear
-from .laurent import LaurentPoly, as_laurent
+from .laurent import LaurentPoly
 from .report import Report
 from .series import TruncSeries, geometric_minus_one_over
 from .stirling import Triangle, s1_triangle
@@ -35,12 +35,11 @@ def sigma_eval(spec: FSpec, t: TParam, variant: str, n: int, x: int,
     if n < 0 or x < n + 1:
         raise ValueError(f"sigma is defined for x >= n+1 >= 1, got n={n}, x={x}")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = triangle if triangle is not None else s1_triangle(spec, tp, x)
     entry = tri.entry(x, x - n)
     num = Fraction(math.factorial(x - n - 1))
     if variant == "sigma":
-        return entry * num / as_laurent(bang_f(spec, x), var)
+        return entry * num / bang_f(spec, x)
     return entry * num / Fraction(math.factorial(x))
 
 
@@ -54,16 +53,15 @@ def sigma_recurrence_check(spec: FSpec, t: TParam, N_n: int, N_x: int) -> Report
     only fires at x = 0, outside the checked domain.
     """
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, N_x + 1)
     report = Report(
         "sigma-recurrences", {"f": spec.render(), "t": tp, "N_n": N_n, "N_x": N_x}
     )
-    zero = LaurentPoly.constant(var, 0)
+    zero = LaurentPoly.constant("t", 0)
     for n in range(N_n + 1):
         for x in range(n + 1, N_x + 1):
-            fx = as_laurent(eval_f(spec, x), var)
-            fx1 = as_laurent(eval_f(spec, x + 1), var)
+            fx = eval_f(spec, x)
+            fx1 = eval_f(spec, x + 1)
             for variant in ("sigma", "sigma~"):
                 cur = sigma_eval(spec, tp, variant, n, x, triangle=tri)
                 nxt = sigma_eval(spec, tp, variant, n, x + 1, triangle=tri)
@@ -72,7 +70,7 @@ def sigma_recurrence_check(spec: FSpec, t: TParam, N_n: int, N_x: int) -> Report
                     if n >= 1
                     else zero
                 )
-                lead = fx1 if variant == "sigma" else LaurentPoly.constant(var, x + 1)
+                lead = fx1 if variant == "sigma" else LaurentPoly.constant("t", x + 1)
                 lhs = lead * nxt
                 rhs = (x - n) * cur + fx * tp ** (-x) * prev
                 report.check((variant, n, x), lhs, rhs)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .fspec import FSpec, FSpecError, eval_f
-from .laurent import LaurentPoly, as_laurent
+from .laurent import LaurentPoly
 
 TParam = Union[int, Fraction, LaurentPoly, str]
 
@@ -42,15 +42,6 @@ def check_config(spec: FSpec, t: TParam) -> LaurentPoly:
     return tp
 
 
-def working_var(spec: FSpec, t: LaurentPoly) -> str:
-    """The formal variable triangle entries live in for this configuration."""
-    if spec.symbolic:
-        return "q"
-    if not t.is_constant():
-        return t.var
-    return "t"
-
-
 def bang_f(spec: FSpec, n: int) -> LaurentPoly:
     """prod_{j=1}^{n} f(j); the empty product for n = 0."""
     if n < 0:
@@ -64,5 +55,4 @@ def bang_f(spec: FSpec, n: int) -> LaurentPoly:
 def bang_ft(spec: FSpec, t: TParam, n: int) -> LaurentPoly:
     """bang_f(n) scaled by t^(-n(n+1)/2)."""
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    return as_laurent(bang_f(spec, n), var) * tp ** (-(n * (n + 1) // 2))
+    return bang_f(spec, n) * tp ** (-(n * (n + 1) // 2))

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
 from .cyclotomic import CyclotomicElem, is_prime
-from .factorial import TParam, bang_f, bang_ft, check_config, working_var
+from .factorial import TParam, bang_f, bang_ft, check_config
 from .fspec import FSpec, eval_f, f_pairs
-from .laurent import LaurentPoly, as_laurent
+from .laurent import LaurentPoly
 from .report import Report
 from .series import TruncSeries
 from .stirling import s1_triangle
@@ -31,24 +31,19 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    ap = arg if isinstance(arg, LaurentPoly) else LaurentPoly.constant("t", Fraction(arg))
-    var = ap.var
-    acc = LaurentPoly.constant(var, 0)
-    power = LaurentPoly.constant(var, 1)
+    acc = LaurentPoly.constant("t", 0)
+    power = LaurentPoly.constant("t", 1)
     for k in range(1, n + 1):
-        power = power * ap
-        fk = as_laurent(eval_f(spec, k), var)
-        acc = acc + power / fk ** p
+        power = power * arg
+        acc = acc + power / eval_f(spec, k) ** p
     return acc
 
 
 def ftilde_series(spec: FSpec, t: TParam, n: int, order: int) -> TruncSeries:
     """Row generating polynomial sum_{k=2}^{n+1} entry(n+1, k) w^k as a
     truncated series in w of the given order."""
-    tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    tri = s1_triangle(spec, tp, n + 1)
-    coeffs = [LaurentPoly.constant(var, 0)] * (order + 1)
+    tri = s1_triangle(spec, t, n + 1)
+    coeffs = [LaurentPoly.constant("t", 0)] * (order + 1)
     for k in range(2, min(n + 1, order) + 1):
         coeffs[k] = tri.entry(n + 1, k)
     return TruncSeries("w", order, coeffs)
@@ -63,19 +58,17 @@ def harmonic_via_ftilde(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     if p < 1:
         raise ValueError("order p must be >= 1")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, n + 1)
     b1 = tri.entry(n + 1, 1)
     ft = ftilde_series(spec, tp, n, order=2 * p)
     powers = [ft]  # powers[r - 1] = ftilde^r
     for _ in range(p - 1):
         powers.append(powers[-1] * ft)
-    acc = LaurentPoly.constant(var, 0)
+    acc = LaurentPoly.constant("t", 0)
     for j in range(p):
         inner = powers[p - j - 1].coeff(2 * p - j)
-        term = as_laurent(inner, var) * b1 ** j * Fraction((-1) ** j * p, p - j)
-        acc = acc + term
-    scale = tp ** (p * n * (n + 1) // 2) / as_laurent(bang_f(spec, n), var) ** p
+        acc = acc + inner * b1 ** j * Fraction((-1) ** j * p, p - j)
+    scale = tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p
     return scale * acc
 
 
@@ -89,7 +82,6 @@ def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     if not is_prime(p):
         raise ValueError(f"root-of-unity route requires prime p, got {p}")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, n + 1)
     order = 2 * p
     prod = None
@@ -104,8 +96,8 @@ def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
         rational = top.rational_part()
     else:
         rational = top
-    scale = tp ** (p * n * (n + 1) // 2) / as_laurent(bang_f(spec, n), var) ** p
-    return scale * as_laurent(rational, var) * Fraction((-1) ** (p + 1))
+    scale = tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p
+    return scale * rational * Fraction((-1) ** (p + 1))
 
 
 def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:
@@ -153,15 +145,11 @@ def wf_table(spec: FSpec, t: TParam, n: int, m_max: int) -> WfTable:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     s = n * (n + 1) // 2
-    harmonics = tuple(
-        fharmonic_direct(spec, k + 1, n, as_laurent(tp, var) ** (k + 1))
-        for k in range(m_max - 1)
-    )
-    values: Dict[int, LaurentPoly] = {1: as_laurent(tp ** (-s), var)}
+    harmonics = tuple(fharmonic_direct(spec, k + 1, n, tp ** (k + 1)) for k in range(m_max - 1))
+    values: Dict[int, LaurentPoly] = {1: tp ** (-s)}
     for m in range(2, m_max + 1):
-        acc = LaurentPoly.constant(var, 0)
+        acc = LaurentPoly.constant("t", 0)
         for k in range(m - 1):
             fall = 1
             for i in range(k):
@@ -181,22 +169,21 @@ def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
                               + n!_{f(t)} [k = 1]
     """
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, N + 1)
     report = Report("s1-from-wf", {"f": spec.render(), "t": tp, "N": N})
     for n in range(N + 1):
         wtab = wf_table(spec, tp, n, n + 1)
-        nf = as_laurent(bang_f(spec, n), var)
+        nf = bang_f(spec, n)
         F = wtab.harmonics
         for k in range(1, n + 2):
             lhs = tri.entry(n + 1, k)
             line1 = nf * wtab[k] / Fraction(math.factorial(k - 1))
             report.check((n, k, "w-column"), lhs, line1)
-            acc = LaurentPoly.constant(var, 0)
+            acc = LaurentPoly.constant("t", 0)
             for j in range(k - 1):
                 acc = acc + tri.entry(n + 1, k - 1 - j) * F[j] * Fraction((-1) ** j, k - 1)
             if k == 1:
-                acc = acc + as_laurent(bang_ft(spec, tp, n), var)
+                acc = acc + bang_ft(spec, tp, n)
             report.check((n, k, "recurrence"), lhs, acc)
     return report
 
@@ -204,15 +191,12 @@ def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
 def corollary_expansions_check(spec: FSpec, t: TParam, N: int) -> Report:
     """Closed forms for columns k = 2..5 in terms of F_n^(j)(t^j), n <= N."""
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, N + 1)
     report = Report("corollary-expansions", {"f": spec.render(), "t": tp, "N": N})
     for n in range(N + 1):
         s = n * (n + 1) // 2
-        pref = as_laurent(bang_f(spec, n), var) * tp ** (-s)
-        F = [None] + [
-            fharmonic_direct(spec, j, n, as_laurent(tp, var) ** j) for j in range(1, 5)
-        ]
+        pref = bang_f(spec, n) * tp ** (-s)
+        F = [None] + [fharmonic_direct(spec, j, n, tp ** j) for j in range(1, 5)]
         closed = {
             2: pref * F[1],
             3: pref * (F[1] ** 2 - F[2]) / 2,
@@ -245,7 +229,6 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     if p < 1:
         raise ValueError("p must be >= 1")
     up = check_config(spec, "u")
-    var = working_var(spec, up)
     L = p * (p + 1)
     t_full = up ** L          # t
     t_over_p = up ** (p + 1)  # t^(1/p)
@@ -253,7 +236,7 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     s = n * (n + 1) // 2
     tri_p = s1_triangle(spec, t_over_p, n + 1)
     tri_p1 = s1_triangle(spec, t_over_p1, n + 1)
-    nf = as_laurent(bang_f(spec, n), var)
+    nf = bang_f(spec, n)
 
     lhs = fharmonic_direct(spec, p + 1, n, t_full)
     rhs = fharmonic_direct(spec, p, n, t_full)
@@ -266,9 +249,9 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
 
     # first double sum: composition products over the t^(1/p) triangle
     for j in range(p):
-        comp = LaurentPoly.constant(var, 0)
+        comp = LaurentPoly.constant("t", 0)
         for ks in _bounded_tuples(j, p - j, j):
-            prod = LaurentPoly.constant(var, 1)
+            prod = LaurentPoly.constant("t", 1)
             for i in ks:
                 prod = prod * tri_p.entry(n + 1, i + 2)
             comp = comp + prod
@@ -279,9 +262,9 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     # second double sum: mixed terms over the t^(1/(p+1)) triangle
     for j in range(p):
         for i in range(j + 1):
-            comp = LaurentPoly.constant(var, 0)
+            comp = LaurentPoly.constant("t", 0)
             for ks in _bounded_tuples(j - i, p - j, j - i):
-                prod = LaurentPoly.constant(var, 1)
+                prod = LaurentPoly.constant("t", 1)
                 for m in ks:
                     prod = prod * tri_p1.entry(n + 1, m + 2)
                 comp = comp + prod
@@ -323,13 +306,12 @@ def prop2_functional_eq_check(spec: FSpec, t: TParam, p: int, n: int) -> Report:
     if p < 2:
         raise ValueError("p must be >= 2")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, tp, n + 2)
-    arg = as_laurent(tp, var) ** p
+    arg = tp ** p
     lhs = fharmonic_direct(spec, p, n + 1, arg)
     base = fharmonic_direct(spec, p, n, arg)
-    fn1 = as_laurent(eval_f(spec, n + 1), var)
-    nft1 = as_laurent(bang_ft(spec, tp, n + 1), var)  # (n+1)!_{f(t)}
+    fn1 = eval_f(spec, n + 1)
+    nft1 = bang_ft(spec, tp, n + 1)  # (n+1)!_{f(t)}
 
     rhs1 = base
     for j in range(1, p):

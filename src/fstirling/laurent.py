@@ -246,11 +246,3 @@ class LaurentPoly:
             "terms": {str(e): str(c) for e, c in self.terms.items()},
         }
 
-
-def as_laurent(value, var: str) -> LaurentPoly:
-    """Coerce a rational or LaurentPoly to a LaurentPoly in ``var``."""
-    if isinstance(value, LaurentPoly):
-        if value.is_constant() and value.var != var:
-            return _make(var, value.lo, value.num, value.den)
-        return value
-    return LaurentPoly.constant(var, _as_fraction(value))

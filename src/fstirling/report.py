@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Sequence
 
 from .laurent import LaurentPoly
@@ -30,15 +29,11 @@ def digits_unlimited():
 
 
 def render_value(v) -> object:
-    """Canonical text/JSON form for rationals, polynomials, and series."""
+    """Canonical text/JSON form for rationals and polynomials."""
     with digits_unlimited():
         if isinstance(v, LaurentPoly):
             if v.is_constant():
                 return str(v.constant_value())
-            return v.to_json()
-        if isinstance(v, (int, Fraction)):
-            return str(v)
-        if hasattr(v, "to_json"):
             return v.to_json()
         return str(v)
 

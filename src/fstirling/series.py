@@ -183,20 +183,6 @@ class TruncSeries:
     def __repr__(self):
         return f"TruncSeries({self.var!r}, order={self.order}, {self.coeffs})"
 
-    def to_json(self) -> dict:
-        from .laurent import LaurentPoly
-
-        def render(c):
-            if isinstance(c, LaurentPoly):
-                return c.to_json()
-            return str(c)
-
-        return {
-            "var": self.var,
-            "order": self.order,
-            "coeffs": [render(c) for c in self.coeffs],
-        }
-
 
 def geometric_minus_one_over(var: str, order: int, rate=1) -> TruncSeries:
     """(exp(rate*z) - 1) / (rate*z) truncated to ``order``."""

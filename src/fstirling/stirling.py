@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .factorial import TParam, bang_f, bang_ft, check_config, working_var
+from .factorial import TParam, bang_f, bang_ft, check_config
 from .fspec import FSpec, eval_f
-from .laurent import LaurentPoly, as_laurent
+from .laurent import LaurentPoly
 from .report import Report, render_value
 from .series import TruncSeries
 
@@ -36,9 +36,8 @@ class Triangle:
     entries: tuple  # tuple of row tuples, row n has n+1 LaurentPoly entries
 
     def entry(self, n: int, k: int) -> LaurentPoly:
-        var = working_var(self.spec, self.t)
         if k < 0 or k > n:
-            return LaurentPoly.constant(var, 0)
+            return LaurentPoly.constant("t", 0)
         if n > self.rows:
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
@@ -60,7 +59,7 @@ class Triangle:
         return buf.getvalue()
 
 
-# First-kind rows built so far per (spec, t, working variable).  Rows are
+# First-kind rows built so far per (spec, t).  Rows are
 # tuples of immutable values, so triangles share them.  cli.main empties the
 # store at the start of each command.
 S1_ROWS: Dict[tuple, List[tuple]] = {}
@@ -77,11 +76,10 @@ def s1_triangle(spec: FSpec, t: TParam, N: int) -> Triangle:
     if N < 0:
         raise ValueError("N must be >= 0")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    zero = LaurentPoly.constant(var, 0)
-    rows = S1_ROWS.setdefault((spec, tp, var), [(LaurentPoly.constant(var, 1),)])
+    zero = LaurentPoly.constant("t", 0)
+    rows = S1_ROWS.setdefault((spec, tp), [(LaurentPoly.constant("t", 1),)])
     for n in range(len(rows), N + 1):
-        scale = as_laurent(eval_f(spec, n - 1), var) * tp ** (1 - n) if n >= 2 else None
+        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else None
         prev = rows[n - 1]
         row = []
         for k in range(n + 1):
@@ -102,17 +100,16 @@ def s1_entry_oracle(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     if n > ORACLE_CAP:
         raise ValueError(f"oracle subset enumeration capped at n <= {ORACLE_CAP}")
     if n == 0:
-        return LaurentPoly.constant(var, 1 if k == 0 else 0)
+        return LaurentPoly.constant("t", 1 if k == 0 else 0)
     if k == 0:
-        return LaurentPoly.constant(var, 0)
-    values = [as_laurent(eval_f(spec, j), var) * tp ** (-j) for j in range(1, n)]
-    acc = LaurentPoly.constant(var, 0)
+        return LaurentPoly.constant("t", 0)
+    values = [eval_f(spec, j) * tp ** (-j) for j in range(1, n)]
+    acc = LaurentPoly.constant("t", 0)
     for subset in itertools.combinations(values, n - k):
-        prod = LaurentPoly.constant(var, 1)
+        prod = LaurentPoly.constant("t", 1)
         for v in subset:
             prod = prod * v
         acc = acc + prod
@@ -123,7 +120,6 @@ def s1_column_closed_forms(spec: FSpec, t: TParam, N: int) -> Report:
     """Check the k=1 closed form and the k >= 2 column sum formula against
     the recurrence triangle for all n <= N."""
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     tri = s1_triangle(spec, t, N + 1)
     report = Report(
         "s1-column-closed-forms", {"f": spec.render(), "t": tp, "N": N}
@@ -131,41 +127,41 @@ def s1_column_closed_forms(spec: FSpec, t: TParam, N: int) -> Report:
     for n in range(N + 1):
         lhs = tri.entry(n + 1, 1)
         rhs = bang_ft(spec, tp, n)
-        report.check((n, 1), lhs, as_laurent(rhs, var))
+        report.check((n, 1), lhs, rhs)
         for k in range(2, n + 2):
-            acc = LaurentPoly.constant(var, 0)
+            acc = LaurentPoly.constant("t", 0)
             for j in range(1, n + 1):
-                term = tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / as_laurent(
-                    bang_f(spec, j), var
-                )
-                acc = acc + term
-            rhs_k = as_laurent(bang_ft(spec, tp, n), var) * acc
+                acc = acc + tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / bang_f(spec, j)
+            rhs_k = bang_ft(spec, tp, n) * acc
             report.check((n, k), tri.entry(n + 1, k), rhs_k)
     return report
 
 
-def s2_entry(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
-    """Second-kind entry: the alternating binomial sum over f(j)^n terms.
+def s2_row(spec: FSpec, t: TParam, n: int, width: int) -> tuple:
+    """Second-kind entries of row n for 0 <= k < width: the alternating
+    binomial sums over the f(j)^n t^(-jn) terms, each term computed once.
 
     The j=0 summand contributes (-1)^k only when n = 0 (f(0) is never
     evaluated; f(0)^n is read as 0^n with 0^0 = 1).
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    tp = check_config(spec, t)
+    terms = [eval_f(spec, j) ** n * tp ** (-(j * n)) for j in range(1, width)]
+    row = []
+    for k in range(width):
+        acc = LaurentPoly.constant("t", (-1) ** k if n == 0 else 0)
+        for j, term in enumerate(terms[:k], 1):
+            acc = acc + term * Fraction(math.comb(k, j) * (-1) ** (k - j), math.factorial(j))
+        row.append(acc)
+    return tuple(row)
+
+
+def s2_entry(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
+    """Second-kind entry (n, k), from s2_row."""
     if n < 0 or k < 0:
         raise ValueError("need n, k >= 0")
-    tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    acc = LaurentPoly.constant(var, 0)
-    if n == 0:
-        acc = acc + Fraction((-1) ** k)
-    for j in range(1, k + 1):
-        fj = as_laurent(eval_f(spec, j), var)
-        term = (
-            fj ** n
-            * tp ** (-(j * n))
-            * Fraction(math.comb(k, j) * (-1) ** (k - j), math.factorial(j))
-        )
-        acc = acc + term
-    return acc
+    return s2_row(spec, t, n, k + 1)[k]
 
 
 def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
@@ -177,10 +173,9 @@ def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
     if k < 0 or j < 0:
         raise ValueError("need k, j >= 0")
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
-    acc = LaurentPoly.constant(var, Fraction((-1) ** j) if k == 0 else 0)
+    acc = LaurentPoly.constant("t", Fraction((-1) ** j) if k == 0 else 0)
     for m in range(1, j + 1):
-        gm = as_laurent(eval_f(spec, m), var) ** k * tp ** (-(m * k))
+        gm = eval_f(spec, m) ** k * tp ** (-(m * k))
         acc = acc + gm * Fraction(math.comb(j, m) * (-1) ** (j - m))
     return acc * Fraction(1, math.factorial(j))
 
@@ -199,17 +194,16 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
     side takes exact symbolic derivatives of the expanded geometric polynomial.
     """
     tp = check_config(spec, t)
-    var = working_var(spec, tp)
     report = Report(
         "s2-geom-transform", {"f": spec.render(), "t": tp, "n": n, "k": k}
     )
-    zero = LaurentPoly.constant(var, 0)
+    zero = LaurentPoly.constant("t", 0)
     lhs = [zero] * (n + 1)
     for j in range(n + 1):
         if j == 0:
-            lhs[0] = LaurentPoly.constant(var, 1 if k == 0 else 0)
+            lhs[0] = LaurentPoly.constant("t", 1 if k == 0 else 0)
         else:
-            lhs[j] = as_laurent(eval_f(spec, j), var) ** k * tp ** (-(j * k))
+            lhs[j] = eval_f(spec, j) ** k * tp ** (-(j * k))
     rhs = [zero] * (n + 1)
     for j in range(n + 1):
         coeff = coeffs[k, j] if coeffs else s2_diff_coeff(spec, t, k, j)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fstirling import stirling
+from fstirling import fharmonic, stirling
 from fstirling.cli import main
 from fstirling.fspec import linear
 from fstirling.report import digits_unlimited, render_value
@@ -52,7 +52,7 @@ def test_each_command_starts_from_an_empty_triangle_store(monkeypatch, capsys):
     args = ["triangle", "--f", "linear:2,1", "--t", "3/2", "--rows", "3"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
-    assert [spec.render() for spec, _, _ in stirling.S1_ROWS] == ["linear:2,1"]
+    assert [spec.render() for spec, _ in stirling.S1_ROWS] == ["linear:2,1"]
     assert run_cli(args, capsys) == (0, out, "")
 
 
@@ -190,6 +190,37 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
     assert out == ""
     assert "error: f(1) = 0^-1 is undefined" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["triangle", "--f", "linear:1,0", "--t", "0", "--rows", "3"], None,
+     "t must be nonzero"),
+    (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], None,
+     "order p must be >= 1"),
+    (["harmonic", "--f", "linear:1,0", "--p", "4", "--n", "3", "--method", "roots"], None,
+     "root-of-unity route requires prime p, got 4"),
+    (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "0"], None,
+     "N must be >= 1"),
+    (["verify", "--suite", "wf", "--f", "linear:1,0"], "abc",
+     "invalid literal for int() with base 10: 'abc'"),
+    (["verify", "--suite", "wf", "--f", "linear:1,0"], "-1",
+     "N must be >= 0"),
+], ids=["t-zero", "harmonic-p", "roots-non-prime", "eulersum-N", "max-n-env-text",
+        "max-n-env-negative"])
+def test_bad_input_is_a_usage_error(argv, env, message, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("FSTIRLING_MAX_N", env)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_library_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(fharmonic, "fharmonic_direct", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["harmonic", "--f", "linear:1,0", "--p", "2", "--n", "3"])
 
 
 def test_verify_single_suite_exit_zero(capsys):

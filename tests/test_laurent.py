@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fstirling.laurent import LaurentPoly, as_laurent
+from fstirling.laurent import LaurentPoly
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -78,19 +78,31 @@ def test_constant_coercion_across_variables():
     with pytest.raises(ValueError):
         LaurentPoly.variable("q") * LaurentPoly.variable("t")
 
+    # A constant takes the other operand's variable, whatever variable it was
+    # built in, so callers never choose one.
+    m = LaurentPoly.monomial("u", 3, Fraction(-2, 5))
+    ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b]
+    for value in (Fraction(3, 2), Fraction(-7), Fraction(0)):
+        consts = {var: LaurentPoly.constant(var, value) for var in ("q", "t", "u")}
+        for a in consts.values():
+            for b in consts.values():
+                assert a == b and hash(a) == hash(b)
+        for c in consts.values():
+            for op in ops:
+                pairs = ((c, m, consts["u"], m), (m, c, m, consts["u"]))
+                for left, right, left_u, right_u in pairs:
+                    if op is ops[3] and right.is_zero():
+                        continue
+                    got, want = op(left, right), op(left_u, right_u)
+                    assert want.var == "u"
+                    assert (got.var, got.lo, got.num, got.den) == (
+                        want.var, want.lo, want.num, want.den), (c.var, value)
+
 
 def test_string_rendering():
     p = LaurentPoly("t", {-1: Fraction(1, 2), 0: -1, 2: 3})
     assert str(p) == "1/2*t^-1 - 1 + 3*t^2"
     assert str(LaurentPoly("t", {})) == "0"
-
-
-def test_as_laurent_coercion():
-    assert as_laurent(Fraction(2, 3), "u").constant_value() == Fraction(2, 3)
-    p = LaurentPoly.constant("t", 5)
-    assert as_laurent(p, "u").var == "u"
-    m = LaurentPoly.monomial("u", 2)
-    assert as_laurent(m, "u") is m
 
 
 # -- differential test against the dict-of-Fraction algorithm ---------------
