@@ -7,28 +7,23 @@
     fstirling verify    --suite <name>|all --f <dsl> --t <t> [--max-n N]
 
 Exit codes: 0 success with all checks passing, 1 identity-check failure
-(reports still written), 2 usage or configuration error.  Bad input is
-rejected here, at the boundary; an error inside the library is a program
-fault and exits with its traceback, never with 2.
+(reports still written), 2 usage or configuration error, 141 (128 + SIGPIPE)
+when the reader of standard output closes it early.  Bad input is rejected
+here, at the boundary; an error inside the library is a program fault and
+exits with its traceback, never with 2.
+
+Only argument parsing is imported up front; each command imports the
+modules it runs, so a cheap command does not load the verification suites.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from fractions import Fraction
 
-from . import convpoly, fharmonic, stirling
-from .cyclotomic import is_prime
-from .factorial import check_config
 from .fspec import FSpecError, parse_fspec
-from .laurent import LaurentPoly
-from .report import Report, digits_unlimited, render_value
-from .stirling import ORACLE_CAP
 
 SUITES = [
     "s1-oracle",
@@ -68,6 +63,8 @@ def _parse_t(text: str):
 
 def _fixed_str(whole: int, digits: int) -> str:
     """Render whole / 10^digits with exactly ``digits`` decimals."""
+    from .report import digits_unlimited
+
     sign = "-" if whole < 0 else ""
     intpart, frac = divmod(abs(whole), 10 ** digits)
     with digits_unlimited():
@@ -95,6 +92,9 @@ def _emit(text: str, path: str | None):
 
 
 def _render_scalar(value, decimal: int | None) -> str:
+    from .laurent import LaurentPoly
+    from .report import digits_unlimited
+
     if isinstance(value, LaurentPoly) and value.is_constant():
         value = value.constant_value()
     if decimal is not None and isinstance(value, Fraction):
@@ -104,6 +104,9 @@ def _render_scalar(value, decimal: int | None) -> str:
 
 
 def cmd_triangle(args) -> int:
+    from . import stirling
+    from .factorial import check_config
+
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
     if args.kind == "s1":
@@ -113,6 +116,8 @@ def cmd_triangle(args) -> int:
         entries = tuple(stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1))
         tri = stirling.Triangle(spec, tp, args.rows, entries)
     if args.format == "json":
+        import json
+
         _emit(json.dumps(tri.to_json(), indent=2), args.output)
     else:
         _emit(tri.to_csv(), args.output)
@@ -120,6 +125,10 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
+    from . import fharmonic
+    from .cyclotomic import is_prime
+    from .factorial import check_config
+
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
     tp = check_config(spec, t)
@@ -142,6 +151,10 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_convpoly(args) -> int:
+    from . import convpoly, stirling
+    from .factorial import check_config
+    from .report import render_t, render_value
+
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
     tp = check_config(spec, t)
@@ -152,9 +165,11 @@ def cmd_convpoly(args) -> int:
             value = convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri)
             rows.append((n, x, value))
     if args.format == "json":
+        import json
+
         payload = {
             "f": spec.render(),
-            "t": args.t,
+            "t": render_t(tp),
             "variant": args.variant,
             "values": [
                 {"n": n, "x": x, "value": render_value(v)} for n, x, v in rows
@@ -162,6 +177,9 @@ def cmd_convpoly(args) -> int:
         }
         _emit(json.dumps(payload, indent=2), args.output)
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "x", "value"])
@@ -172,20 +190,27 @@ def cmd_convpoly(args) -> int:
 
 
 def cmd_eulersum(args) -> int:
+    from . import eulersum
+
     spec = parse_fspec(args.f)
     if args.N < 1:
         raise UsageError("N must be >= 1")
     if args.decimal is None:
-        value = fharmonic.euler_sum_numeric(spec, args.r, args.N, args.mode)
+        value = eulersum.euler_sum_numeric(spec, args.r, args.N, args.mode)
         _emit(_render_scalar(value, None), args.output)
     else:
-        whole = fharmonic.euler_sum_floor(spec, args.r, args.N, args.mode, 10 ** args.decimal)
+        whole = eulersum.euler_sum_floor(spec, args.r, args.N, args.mode, 10 ** args.decimal)
         _emit(_fixed_str(whole, args.decimal), args.output)
     return 0
 
 
 def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
     """Run one named suite; returns its reports (may skip inapplicable combos)."""
+    from . import convpoly, eulersum, fharmonic, stirling
+    from .factorial import check_config
+    from .laurent import LaurentPoly
+    from .report import Report
+
     tp = check_config(spec, t)
     numeric_f = not spec.symbolic
     symbolic_t = not tp.is_constant()
@@ -197,7 +222,7 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
         return [rep]
 
     if name == "s1-oracle":
-        cap = min(max_n, ORACLE_CAP - 3)
+        cap = min(max_n, stirling.ORACLE_CAP - 3)
         tri = stirling.s1_triangle(spec, tp, cap)
         rep = Report("s1-oracle", {"f": spec.render(), "t": tp, "N": cap})
         for n in range(cap + 1):
@@ -280,8 +305,8 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
         if spec.kind == "table":
             return skip("finite f table cannot support the series truncation")
         N = 2000
-        z2, lhs = fharmonic.fzeta_and_harmonic_sums(spec, 2, N)
-        z4 = fharmonic.euler_sum_numeric(spec, 2, N, "fzeta2r")
+        z2, lhs = eulersum.fzeta_and_harmonic_sums(spec, 2, N)
+        z4 = eulersum.euler_sum_numeric(spec, 2, N, "fzeta2r")
         rhs = (z2 * z2 + z4) / 2
         rep = Report("euler-sum-numeric", {"f": spec.render(), "r": 2, "N": N})
         cell = rep.check((2, N), lhs, rhs)
@@ -293,6 +318,8 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
 
 
 def cmd_verify(args) -> int:
+    from .report import render_value
+
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
     max_n = args.max_n
@@ -324,6 +351,8 @@ def cmd_verify(args) -> int:
                     print(f"      {r.identity} {cell.indices}: "
                           f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}")
     if args.output:
+        import json
+
         payload = [r.to_json() for r in all_reports]
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -393,12 +422,23 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     # A command's work, and so a traced pass's counts, must not depend on
     # what ran before it in the same process.
-    stirling.S1_ROWS.clear()
+    stirling = sys.modules.get(f"{__package__}.stirling")
+    if stirling is not None:
+        stirling.S1_ROWS.clear()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, FSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: end as quietly as a process killed by SIGPIPE,
+        # and point stdout at /dev/null so the exit-time flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ function to diagonal values at a fixed integer argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .factorial import TParam, bang_f, check_config
 from .fspec import FSpec, eval_f, linear
@@ -118,8 +117,7 @@ def stirlingpoly_gf_check(family: str, n_max: int, x_max: int,
     return report
 
 
-@dataclass(frozen=True)
-class Eulerian2Triangle:
+class Eulerian2Triangle(NamedTuple):
     """Second-order Eulerian numbers: row n holds entries k = 0..n-1 (row 0 = [1])."""
 
     rows: tuple

@@ -15,13 +15,11 @@ by f(k) powers, so a zero value would silently poison results.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly
 
@@ -32,8 +30,7 @@ class FSpecError(ValueError):
     """Malformed spec text or an invalid f value."""
 
 
-@dataclass(frozen=True)
-class FSpec:
+class FSpec(NamedTuple):
     kind: str  # "linear" | "poly" | "qpow" | "table"
     params: tuple = ()
     table: tuple = ()
@@ -43,13 +40,6 @@ class FSpec:
     def symbolic(self) -> bool:
         """True when f values are monomials in the formal variable q."""
         return self.kind == "qpow" and self.params[0] is None
-
-    @cached_property
-    def _int_coeffs(self) -> Tuple[Tuple[int, ...], int]:
-        """(c, d) with f(n) = sum_i c[i] n^i / d, for the linear and poly kinds."""
-        coeffs = self.params[::-1] if self.kind == "linear" else self.params
-        den = lcm(*(c.denominator for c in coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
     def render(self) -> str:
         if self.kind == "linear":
@@ -108,6 +98,8 @@ def parse_fspec(text: str) -> FSpec:
                 return qpow(int(parts[1]), Fraction(parts[0]))
             raise FSpecError(f"qpow takes 1 or 2 arguments, got {len(parts)}")
         if kind == "table":
+            import json
+
             with open(rest) as fh:
                 values = json.load(fh)
             if not isinstance(values, list):
@@ -120,10 +112,18 @@ def parse_fspec(text: str) -> FSpec:
     raise FSpecError(f"unknown fspec kind {kind!r}")
 
 
+@lru_cache(maxsize=64)
+def _int_coeffs(spec: FSpec) -> Tuple[Tuple[int, ...], int]:
+    """(c, d) with f(n) = sum_i c[i] n^i / d, for the linear and poly kinds."""
+    coeffs = spec.params[::-1] if spec.kind == "linear" else spec.params
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
     """f(n) for lo <= n < hi as integer pairs (num, den), den > 0, unreduced."""
     if spec.kind in ("linear", "poly"):
-        ints, den = spec._int_coeffs
+        ints, den = _int_coeffs(spec)
         if spec.kind == "linear":  # one integer add per term
             offset, step = ints
             nums = islice(accumulate(repeat(step), initial=offset + step * lo), hi - lo)

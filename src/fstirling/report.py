@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from .laurent import LaurentPoly
@@ -38,13 +37,16 @@ def render_value(v) -> object:
         return str(v)
 
 
-@dataclass
+def render_t(t: LaurentPoly) -> str:
+    """Canonical text of the t parameter: its rational value, or "symbolic"."""
+    return "symbolic" if not t.is_constant() else str(t.constant_value())
+
+
 class CheckCell:
-    indices: tuple
-    lhs: object
-    rhs: object
-    passed: bool
-    note: str = ""
+    __slots__ = ("indices", "lhs", "rhs", "passed", "note")
+
+    def __init__(self, indices: tuple, lhs, rhs, passed: bool, note: str = ""):
+        self.indices, self.lhs, self.rhs, self.passed, self.note = indices, lhs, rhs, passed, note
 
     @property
     def residual(self):
@@ -66,11 +68,12 @@ class CheckCell:
         return out
 
 
-@dataclass
 class Report:
-    identity: str
-    params: dict
-    cells: List[CheckCell] = field(default_factory=list)
+    __slots__ = ("identity", "params", "cells")
+
+    def __init__(self, identity: str, params: dict):
+        self.identity, self.params = identity, params
+        self.cells: List[CheckCell] = []
 
     def check(self, indices: Sequence, lhs, rhs, note: str = "") -> CheckCell:
         cell = CheckCell(tuple(indices), lhs, rhs, lhs == rhs, note)

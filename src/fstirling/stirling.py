@@ -13,21 +13,18 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .factorial import TParam, bang_f, bang_ft, check_config
 from .fspec import FSpec, eval_f
 from .laurent import LaurentPoly
-from .report import Report, render_value
-from .series import TruncSeries
+from .report import Report, render_t, render_value
 
 ORACLE_CAP = 15
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Dense triangle of either kind: entry(n, k) for 0 <= k <= n <= rows."""
 
     spec: FSpec
@@ -45,7 +42,7 @@ class Triangle:
     def to_json(self) -> dict:
         return {
             "f": self.spec.render(),
-            "t": "symbolic" if not self.t.is_constant() else str(self.t.constant_value()),
+            "t": render_t(self.t),
             "rows": [[render_value(e) for e in row] for row in self.entries],
         }
 
@@ -139,7 +136,8 @@ def s1_column_closed_forms(spec: FSpec, t: TParam, N: int) -> Report:
 
 def s2_row(spec: FSpec, t: TParam, n: int, width: int) -> tuple:
     """Second-kind entries of row n for 0 <= k < width: the alternating
-    binomial sums over the f(j)^n t^(-jn) terms, each term computed once.
+    binomial sums over the f(j)^n t^(-jn) terms, each term computed once and
+    each entry built once from its per-exponent coefficients.
 
     The j=0 summand contributes (-1)^k only when n = 0 (f(0) is never
     evaluated; f(0)^n is read as 0^n with 0^0 = 1).
@@ -148,12 +146,16 @@ def s2_row(spec: FSpec, t: TParam, n: int, width: int) -> tuple:
         raise ValueError("need n >= 0")
     tp = check_config(spec, t)
     terms = [eval_f(spec, j) ** n * tp ** (-(j * n)) for j in range(1, width)]
+    var = next((term.var for term in terms if not term.is_constant()), "t")
+    coeffs = [{0: 1} if n == 0 else {}] + [term.terms for term in terms]
     row = []
     for k in range(width):
-        acc = LaurentPoly.constant("t", (-1) ** k if n == 0 else 0)
-        for j, term in enumerate(terms[:k], 1):
-            acc = acc + term * Fraction(math.comb(k, j) * (-1) ** (k - j), math.factorial(j))
-        row.append(acc)
+        entry = {}
+        for j in range(k + 1):
+            weight = Fraction(math.comb(k, j) * (-1) ** (k - j), math.factorial(j))
+            for e, c in coeffs[j].items():
+                entry[e] = entry.get(e, 0) + weight * c
+        row.append(LaurentPoly(var, entry))
     return tuple(row)
 
 
@@ -257,6 +259,8 @@ def s2star_egf_check(spec: FSpec, r: int, N: int) -> Report:
 
     The modified-number upper index is taken as r on both sides.
     """
+    from .series import TruncSeries
+
     report = Report("s2star-egf", {"f": spec.render(), "r": r, "N": N})
     if N < 1:
         return report

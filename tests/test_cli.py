@@ -1,5 +1,6 @@
 """Command line behavior: outputs, determinism, and exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +15,8 @@ from fstirling.fspec import linear
 from fstirling.report import digits_unlimited, render_value
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 TABLE_ARG = f"table:{os.path.join(DATA, 'table12.json')}"
 
 
@@ -101,6 +104,18 @@ def test_convpoly_table(capsys):
     )
     assert code == 0
     assert "1,2,1/2" in out  # sigma_1(x) = 1/2
+
+
+@pytest.mark.parametrize("t_arg,t_json", [("1.5", "3/2"), ("1", "1"), ("sym", "symbolic")])
+def test_convpoly_json_prints_t_as_triangle_does(t_arg, t_json, capsys):
+    payloads = {}
+    for command, extra in (("convpoly", ["--n-max", "1", "--x-max", "3"]),
+                           ("triangle", ["--rows", "1"])):
+        code, out, _ = run_cli([command, "--f", "linear:2,1", "--t", t_arg, *extra,
+                                "--format", "json"], capsys)
+        assert code == 0
+        payloads[command] = json.loads(out)
+    assert payloads["convpoly"]["t"] == payloads["triangle"]["t"] == t_json
 
 
 def test_eulersum(capsys):
@@ -283,3 +298,55 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "49/36"
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangle", "--f", "linear:1,0", "--rows", "3"],
+    ["triangle", "--f", "linear:1,0", "--rows", "150", "--format", "json"],
+], ids=["fails-at-exit-flush", "fails-mid-write"])
+def test_a_closed_pipe_exits_141_without_a_traceback(argv):
+    """As `fstirling triangle ... | head` does once head has exited."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fstirling.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=SRC_ENV)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _modules_loaded_by(argv):
+    """The module names a fresh interpreter holds after running one command."""
+    script = ("import sys\nfrom fstirling.cli import main\nmain(sys.argv[1:])\n"
+              "print(*sorted(sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=SRC_ENV, check=True)
+    return set(proc.stderr.split())
+
+
+def _tracer_target_modules():
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {module for _, module, _ in tracer.TARGETS}
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "10", "--decimal", "3"],
+     {"fstirling.stirling", "fstirling.fharmonic", "fstirling.convpoly",
+      "fstirling.cyclotomic"}),
+    (["triangle", "--f", "linear:1,0", "--rows", "0"],
+     {"fstirling.fharmonic", "fstirling.convpoly", "fstirling.cyclotomic"}),
+], ids=["eulersum", "triangle"])
+def test_a_command_loads_only_the_modules_it_runs(argv, absent):
+    loaded = _modules_loaded_by(argv)
+    assert "fstirling.cli" in loaded
+    assert loaded & (absent | {"dataclasses"}) == set()
+
+
+def test_verify_loads_every_module_the_tracer_wraps():
+    loaded = _modules_loaded_by(["verify", "--suite", "s1-oracle", "--f", "linear:1,0",
+                                 "--max-n", "2"])
+    assert _tracer_target_modules() - loaded == set()

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fstirling.eulersum import euler_sum_floor, euler_sum_numeric
 from fstirling.factorial import check_config
 from fstirling.fharmonic import (
     corollary_expansions_check,
-    euler_sum_floor,
-    euler_sum_numeric,
     fharmonic_direct,
     harmonic_via_ftilde,
     harmonic_via_roots,
@@ -275,7 +274,7 @@ def _sequential_euler_sums(f, r, N):
 @settings(max_examples=300, deadline=None)
 @given(spec_f=_kernel_specs, r=st.integers(-1, 3), N=st.integers(1, 60))
 def test_euler_sum_numeric_matches_sequential_fraction_sums(spec_f, r, N):
-    from fstirling.fharmonic import (
+    from fstirling.eulersum import (
         _prefix_weighted_sum,
         _range_sum,
         _terms,

@@ -1,12 +1,15 @@
 """Triangle construction, oracles, and the second-kind transforms."""
 
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
 from fstirling import stirling
-from fstirling.fspec import FSpecError, linear, parse_fspec, qpow
+from fstirling.factorial import check_config
+from fstirling.fspec import FSpecError, eval_f, linear, parse_fspec, qpow
+from fstirling.laurent import LaurentPoly
 from fstirling.stirling import (
     s1_column_closed_forms,
     s1_entry_oracle,
@@ -115,6 +118,21 @@ def test_s2_entry_anchors():
         assert s2_entry(spec, 1, n, 0) == 0
     # n=0: full alternating sum -1 + 3 - 3/2 + 1/6
     assert s2_entry(spec, 1, 0, 3) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("spec,t", MATRIX + [(qpow(-1), 2)])
+def test_s2_row_matches_its_defining_sum(spec, t):
+    """Each entry equals its alternating binomial sum added term by term,
+    and prints the same."""
+    tp = check_config(spec, t)
+    for n in range(7):
+        row = stirling.s2_row(spec, tp, n, 8)
+        for k in range(8):
+            acc = LaurentPoly.constant("t", (-1) ** k if n == 0 else 0)
+            for j in range(1, k + 1):
+                term = eval_f(spec, j) ** n * tp ** (-(j * n))
+                acc = acc + term * Fraction(math.comb(k, j) * (-1) ** (k - j), math.factorial(j))
+            assert (row[k], str(row[k])) == (acc, str(acc)), (n, k)
 
 
 def test_s2_diff_coeff_reduces_to_classical():
