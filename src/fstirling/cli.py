@@ -422,9 +422,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     # A command's work, and so a traced pass's counts, must not depend on
     # what ran before it in the same process.
-    stirling = sys.modules.get(f"{__package__}.stirling")
-    if stirling is not None:
-        stirling.S1_ROWS.clear()
+    for module, store in (("stirling", "S1_ROWS"), ("fharmonic", "DIRECT_SUMS")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            getattr(loaded, store).clear()
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -4,11 +4,17 @@ coordinates.
 Elements are represented on the power basis 1, zeta, ..., zeta^(p-2) and
 reduced modulo 1 + zeta + ... + zeta^(p-1) = 0.  Restricting to prime p keeps
 the reduction step trivial.
+
+``twisted_product_coeff`` is the root-of-unity harmonic route's product: it
+works on plain ints, with each Laurent coefficient packed into one int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+from .laurent import LaurentPoly, _make, _pack, _unpack
 
 
 def is_prime(p: int) -> bool:
@@ -119,3 +125,59 @@ class CyclotomicElem:
 
     def __repr__(self):
         return f"CyclotomicElem(p={self.p}, {self.coords})"
+
+
+def twisted_product_coeff(p: int, entries) -> LaurentPoly:
+    """[w^(2p)] prod_{m<p} sum_k entries[k] zeta_p^(m(k-1)) w^k for prime p.
+
+    Replacing zeta by zeta^j permutes the factors, so the coefficient is
+    rational and is returned as a LaurentPoly; a nonzero zeta-coordinate
+    raises ValueError.  The entries are LaurentPoly values in one variable t.
+
+    They are written t^L a_k(t) / D over a common denominator D and lowest
+    exponent L, and each integer polynomial a_k is packed into one int.  Each
+    factor has L1 norm S = sum_k ||a_k||_1 over (t, zeta, w), so every partial
+    product, and the difference of two of its coordinates, has coefficients of
+    at most S^p: a slot holding S^p and a sign never overflows.  The product is
+    taken in Z[t][zeta]/(zeta^p - 1) on a grid indexed by (w-degree,
+    zeta-exponent), keeping only the w-degrees that can still reach 2p, and
+    reduced modulo 1 + zeta + ... + zeta^(p-1) at the end.
+    """
+    if not is_prime(p):
+        raise ValueError(f"cyclotomic order must be prime, got {p}")
+    order = 2 * p
+    terms = [(k, e) for k, e in enumerate(entries[:order + 1]) if e.num]
+    if not terms:
+        return LaurentPoly.constant("t", 0)
+    var = next((e.var for _, e in terms if not e.is_constant()), "t")
+    den = lcm(*(e.den for _, e in terms))
+    lo = min(e.lo for _, e in terms)
+    polys = [(k, [0] * (e.lo - lo) + [c * (den // e.den) for c in e.num]) for k, e in terms]
+    slots = p * max(len(a) for _, a in polys) - p + 1
+    bound = sum(abs(c) for _, a in polys for c in a) ** p
+    width = (bound.bit_length() + 8) // 8
+    packed = [(k, _pack(a, width)) for k, a in polys]
+    kmin, kmax = packed[0][0], packed[-1][0]
+
+    cells = {0: [1] + [0] * (p - 1)}  # w-degree -> packed coefficient per zeta^r
+    for m in range(p):
+        rest = p - 1 - m
+        top, bottom = order - rest * kmin, order - rest * kmax
+        grown = {}
+        for d, row in cells.items():
+            for k, a in packed:
+                if not bottom <= d + k <= top:
+                    continue
+                out = grown.setdefault(d + k, [0] * p)
+                shift = m * (k - 1)
+                for r, x in enumerate(row):
+                    if x:
+                        out[(r + shift) % p] += x * a
+        cells = grown
+
+    coords = cells.get(order, [0] * p)
+    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)): coordinate r becomes
+    # coords[r] - coords[p-1], which must vanish for every r >= 1.
+    if any(c != coords[-1] for c in coords[1:]):
+        raise ValueError(f"product has nonzero zeta-coordinates at order {p}")
+    return _make(var, p * lo, _unpack(coords[0] - coords[-1], width, slots), den ** p)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .cyclotomic import CyclotomicElem, is_prime
+from .cyclotomic import is_prime, twisted_product_coeff
 # Re-exported: the benchmark tracer times the kernel under this module's name.
 from .eulersum import euler_sum_numeric
 from .factorial import TParam, bang_f, bang_ft, check_config
@@ -24,20 +24,27 @@ from .series import TruncSeries
 from .stirling import s1_triangle
 
 
+# Partial sums computed so far per (spec, p, arg), extended on demand like
+# stirling.S1_ROWS; cli.main empties the store at the start of each command.
+DIRECT_SUMS: Dict[tuple, List[LaurentPoly]] = {}
+
+
 def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     """Exact partial sum  sum_{k=1}^{n} arg^k / f(k)^p.
 
     ``arg`` is the substituted power of t (a rational, the formal variable,
-    or a monomial in a substitution variable).
+    or a monomial in a substitution variable).  Sums already computed for
+    this (f, p, arg) are reused; a term whose f value fails is not kept.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    acc = LaurentPoly.constant("t", 0)
-    power = LaurentPoly.constant("t", 1)
-    for k in range(1, n + 1):
-        power = power * arg
-        acc = acc + power / eval_f(spec, k) ** p
-    return acc
+    sums = DIRECT_SUMS.setdefault((spec, p, arg), [LaurentPoly.constant("t", 0)])
+    if n >= len(sums):
+        power = LaurentPoly.constant("t", 1) * arg ** (len(sums) - 1)
+        for k in range(len(sums), n + 1):
+            power = power * arg
+            sums.append(sums[-1] + power / eval_f(spec, k) ** p)
+    return sums[n]
 
 
 def ftilde_series(spec: FSpec, t: TParam, n: int, order: int) -> TruncSeries:
@@ -84,21 +91,9 @@ def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
         raise ValueError(f"root-of-unity route requires prime p, got {p}")
     tp = check_config(spec, t)
     tri = s1_triangle(spec, tp, n + 1)
-    order = 2 * p
-    prod = None
-    for m in range(p):
-        coeffs = []
-        for k in range(min(n + 1, order) + 1):
-            coeffs.append(CyclotomicElem.zeta_pow(p, m * (k - 1)).scale(tri.entry(n + 1, k)))
-        factor = TruncSeries("w", order, coeffs)
-        prod = factor if prod is None else prod * factor
-    top = prod.coeff(order)
-    if isinstance(top, CyclotomicElem):
-        rational = top.rational_part()
-    else:
-        rational = top
+    entries = [tri.entry(n + 1, k) for k in range(min(n + 1, 2 * p) + 1)]
     scale = tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p
-    return scale * rational * Fraction((-1) ** (p + 1))
+    return scale * twisted_product_coeff(p, entries) * Fraction((-1) ** (p + 1))
 
 
 def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:

@@ -42,28 +42,43 @@ def _make(var: str, lo: int, num, den: int) -> "LaurentPoly":
     return p
 
 
+def _pack(coeffs, width: int) -> int:
+    """``sum_i coeffs[i] * 2^(8 width i)``: the list packed into one int
+    (Kronecker substitution) at ``width`` bytes a slot.
+
+    Every coefficient must be below half a slot in absolute value.  Adding half
+    a slot to every coefficient makes each slot a non-negative digit, so
+    packing and unpacking are byte conversions.
+    """
+    half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _halves(width, len(coeffs))
+
+
+def _unpack(packed: int, width: int, count: int) -> list:
+    """The ``count`` coefficients of ``_pack``: the inverse, for any packed
+    polynomial whose coefficients are all below half a slot."""
+    half = 1 << (8 * width - 1)
+    raw = (packed + _halves(width, count)).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _halves(width: int, count: int) -> int:
+    """Half a slot in each of ``count`` slots, packed."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
 def _packed_product(a: tuple, b: tuple) -> list:
     """Product of two integer coefficient lists, by Kronecker substitution.
 
     A product coefficient is below ``min(len) * max|a| * max|b|``, so a slot two
-    bits wider holds it.  Adding half a slot to every coefficient makes each
-    slot a non-negative digit, so packing and unpacking are byte conversions.
+    bits wider holds it with its sign.
     """
     bits = (max(abs(c) for c in a).bit_length() + max(abs(c) for c in b).bit_length()
             + min(len(a), len(b)).bit_length() + 2)
     width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    halves = bytes(width - 1) + b"\x80"
-
-    def pack(coeffs):
-        raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
-        return int.from_bytes(raw, "little") - int.from_bytes(halves * len(coeffs), "little")
-
-    m = len(a) + len(b) - 1
-    product = pack(a) * pack(b) + int.from_bytes(halves * m, "little")
-    raw = product.to_bytes(width * m, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * m, width)]
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 class LaurentPoly:
@@ -190,6 +205,10 @@ class LaurentPoly:
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        if len(self.num) == 1:
+            # A monomial's power is one more monomial: no multiplies.
+            return _make(self.var, self.lo * exponent, (self.num[0] ** exponent,),
+                         self.den ** exponent)
         result = LaurentPoly.constant(self.var, 1)
         base = self
         e = exponent

@@ -1,7 +1,7 @@
 """Truncated formal power series with exact coefficients.
 
-Coefficients may be rationals, LaurentPoly values, or CyclotomicElem values;
-anything supporting ring arithmetic with int works.  The truncation order is
+Coefficients may be rationals or LaurentPoly values; anything supporting
+ring arithmetic with int works.  The truncation order is
 explicit: reading a coefficient beyond it is an error, never a silent zero,
 and arithmetic propagates the minimum order of the operands.
 """

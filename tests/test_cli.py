@@ -59,6 +59,16 @@ def test_each_command_starts_from_an_empty_triangle_store(monkeypatch, capsys):
     assert run_cli(args, capsys) == (0, out, "")
 
 
+def test_each_command_starts_from_an_empty_direct_sum_store(monkeypatch, capsys):
+    monkeypatch.setattr(fharmonic, "DIRECT_SUMS", {})
+    fharmonic.fharmonic_direct(linear(1, 0), 2, 5, 1)
+    args = ["harmonic", "--f", "linear:2,1", "--t", "3/2", "--p", "2", "--n", "4"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert [(spec.render(), p) for spec, p, _ in fharmonic.DIRECT_SUMS] == [("linear:2,1", 2)]
+    assert run_cli(args, capsys) == (0, out, "")
+
+
 def test_second_kind_triangle(capsys):
     code, out, _ = run_cli(
         ["triangle", "--kind", "s2", "--f", "linear:1,0", "--t", "1",

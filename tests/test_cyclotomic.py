@@ -1,11 +1,22 @@
-"""Cyclotomic arithmetic: reduction, rationality of norms, root-of-unity sums."""
+"""Cyclotomic arithmetic: reduction, rationality of norms, root-of-unity sums,
+and the packed root-of-unity product against a CyclotomicElem reference."""
 
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fstirling.cyclotomic import CyclotomicElem, is_prime
+from fstirling.cyclotomic import CyclotomicElem, is_prime, twisted_product_coeff
+from fstirling.factorial import bang_f, check_config
+from fstirling.fharmonic import harmonic_via_roots
+from fstirling.fspec import linear, parse_fspec, poly, qpow
 from fstirling.laurent import LaurentPoly
+from fstirling.series import TruncSeries
+from fstirling.stirling import s1_triangle
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_is_prime():
@@ -78,3 +89,94 @@ def test_truth_value_is_any_nonzero_coordinate():
                 coords[i] = nonzero
                 assert CyclotomicElem(p, coords)
         assert not CyclotomicElem.zeta_pow(p, 1) - CyclotomicElem.zeta_pow(p, p + 1)
+
+
+# -- the packed root-of-unity product ---------------------------------------
+
+
+def reference_product(p, entries):
+    """[w^(2p)] prod_m sum_k entries[k] zeta^(m(k-1)) w^k by CyclotomicElem
+    coefficients in a TruncSeries: the route's product before it was packed."""
+    order = 2 * p
+    prod = None
+    for m in range(p):
+        coeffs = [CyclotomicElem.zeta_pow(p, m * (k - 1)).scale(e)
+                  for k, e in enumerate(entries[:order + 1])]
+        factor = TruncSeries("w", order, coeffs)
+        prod = factor if prod is None else prod * factor
+    top = prod.coeff(order)
+    return top.rational_part() if isinstance(top, CyclotomicElem) else top
+
+
+def reference_roots(spec, t, p, n):
+    tp = check_config(spec, t)
+    tri = s1_triangle(spec, tp, n + 1)
+    entries = [tri.entry(n + 1, k) for k in range(min(n + 1, 2 * p) + 1)]
+    scale = tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p
+    return scale * reference_product(p, entries) * Fraction((-1) ** (p + 1))
+
+
+def fields(value):
+    return value.var, value.lo, value.num, value.den
+
+
+NUMERIC_T = [1, Fraction(3, 2), Fraction(-2, 5)]
+ROUTE_CASES = [(f, t) for f in (linear(2, 1), poly(1, 0, 1),
+                                parse_fspec(f"table:{os.path.join(DATA, 'table12.json')}"),
+                                qpow(1, base=Fraction(3, 2)))
+               for t in NUMERIC_T + ["t", "u"]]
+ROUTE_CASES += [(qpow(1), t) for t in NUMERIC_T]
+
+
+@pytest.mark.parametrize("spec,t", ROUTE_CASES,
+                         ids=[f"{f.render().replace(DATA + os.sep, '')}@{t}" for f, t in ROUTE_CASES])
+def test_roots_route_matches_the_cyclotomic_reference(spec, t):
+    for p in (2, 3, 5, 7):
+        for n in range(11):
+            assert fields(harmonic_via_roots(spec, t, p, n)) == \
+                fields(reference_roots(spec, t, p, n)), (p, n)
+
+
+def test_wide_mixed_sign_coefficients():
+    # Coefficients far above 2^64 of both signs, with denominators and
+    # exponents spread out: a slot sized from the largest entry coefficient,
+    # not from the product bound, would carry into its neighbours.
+    t = LaurentPoly.variable("t")
+    big = 2 ** 70
+    entries = [
+        LaurentPoly.constant("t", 0),
+        (big + 3) * t - (big // 2 + 1) * t ** 2 + Fraction(5, 7),
+        -(big ** 2 - 1) * t ** -3 + Fraction(big - 1, 3) * t,
+        t ** 4 * (big + 1) - t * (big - 1) + big,
+        -(t ** 2) * Fraction(big, 11) + 1,
+        (t - big) * (t + big),
+    ]
+    for p in (2, 3, 5):
+        got = twisted_product_coeff(p, entries)
+        want = reference_product(p, entries)
+        assert fields(got) == fields(want), p
+        assert max(abs(c) for c in got.num).bit_length() > 64
+
+
+def test_product_of_no_terms_is_zero():
+    zero = LaurentPoly.constant("t", 0)
+    assert twisted_product_coeff(3, [zero] * 4) == 0
+    with pytest.raises(ValueError):
+        twisted_product_coeff(4, [zero, LaurentPoly.constant("t", 1)])
+
+
+laurent = st.builds(
+    lambda terms: LaurentPoly("t", terms),
+    st.dictionaries(st.integers(min_value=-4, max_value=4),
+                    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=30),
+                    max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(laurent, min_size=1, max_size=11))
+def test_twisted_product_is_rational(p, entries):
+    # Replacing zeta by zeta^j permutes the factors, so the coefficient is
+    # Galois invariant: rational for any entries, never a ValueError.
+    got = twisted_product_coeff(p, entries)
+    assert got == reference_product(p, entries)

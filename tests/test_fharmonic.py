@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fstirling import fharmonic
 from fstirling.eulersum import euler_sum_floor, euler_sum_numeric
 from fstirling.factorial import check_config
 from fstirling.fharmonic import (
@@ -68,6 +69,21 @@ def test_subst_route_matches_direct():
                 got = harmonic_via_subst(spec, p, n)
                 want = fharmonic_direct(spec, p, n, LaurentPoly.monomial("u", p))
                 assert got == want, (p, n)
+
+
+@pytest.mark.parametrize("spec,t", MATRIX)
+def test_direct_sums_extend_on_demand(monkeypatch, spec, t):
+    tp = check_config(spec, t)
+    store = {}
+    monkeypatch.setattr(fharmonic, "DIRECT_SUMS", store)
+    for n in (4, 2, 9, 0, 9):
+        got = fharmonic_direct(spec, 3, n, tp ** 3)
+        monkeypatch.setattr(fharmonic, "DIRECT_SUMS", {})
+        fresh = fharmonic_direct(spec, 3, n, tp ** 3)
+        monkeypatch.setattr(fharmonic, "DIRECT_SUMS", store)
+        assert (got.var, got.lo, got.num, got.den) == \
+            (fresh.var, fresh.lo, fresh.num, fresh.den), n
+    assert [len(sums) for sums in store.values()] == [10]
 
 
 @pytest.mark.parametrize("spec,t", MATRIX)

@@ -1,6 +1,7 @@
 """Ring-axiom and oracle tests for the Laurent polynomial core."""
 
 from fractions import Fraction
+import math
 from math import gcd
 
 import pytest
@@ -203,3 +204,36 @@ def test_power_matches_repeated_multiplication(a):
         check_normalized(power)
         assert power.terms == expected, e
         assert power.var == "t"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["t", "u"]), st.integers(min_value=-9, max_value=9),
+       rationals.filter(lambda q: q != 0))
+def test_monomial_power_matches_repeated_multiplication(var, exponent, coeff):
+    m = LaurentPoly.monomial(var, exponent, coeff)
+    for e in range(-7, 8):
+        expected = LaurentPoly.constant(var, 1)
+        for _ in range(abs(e)):
+            expected = expected * (m if e > 0 else m.inverse())
+        power = m ** e
+        check_normalized(power)
+        assert (power.var, power.lo, power.num, power.den) == \
+            (expected.var, expected.lo, expected.num, expected.den), e
+
+
+def test_power_edge_cases_and_binary_powering(monkeypatch):
+    zero = LaurentPoly("t", {})
+    assert zero ** 0 == 1
+    assert zero ** 3 == 0
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    m = LaurentPoly.monomial("t", -2, Fraction(3, 5))
+    assert m ** 13 == LaurentPoly.monomial("t", -26, Fraction(3, 5) ** 13)
+    assert calls == []  # a monomial's power takes no multiply
+    s = LaurentPoly("t", {0: 1, 1: 1})
+    assert s ** 13 == LaurentPoly("t", {k: math.comb(13, k) for k in range(14)})
+    # 13 = 0b1101: three squarings and three multiplies into the result
+    assert len(calls) == 6
