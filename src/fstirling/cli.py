@@ -2,7 +2,9 @@
 
     fstirling triangle  --kind s1|s2 --f <dsl> --t <t> --rows N [--format json|csv]
     fstirling harmonic  --f <dsl> --t <t> --p P --n N [--method direct|ftilde|roots|subst]
+                        [--decimal K]
     fstirling convpoly  --f <dsl> --t <t> --variant sigma|sigma~ --n-max N --x-max X
+                        [--format json|csv] [--decimal K]
     fstirling eulersum  --f <dsl> --r R --N TERMS --mode harmonic_over_f|fzeta|fzeta2r [--decimal K]
     fstirling verify    --suite <name>|all --f <dsl> --t <t> [--max-n N]
 
@@ -142,10 +144,8 @@ def cmd_harmonic(args) -> int:
         value = fharmonic.harmonic_via_ftilde(spec, tp, args.p, args.n)
     elif args.method == "roots":
         value = fharmonic.harmonic_via_roots(spec, tp, args.p, args.n)
-    elif args.method == "subst":
-        value = fharmonic.harmonic_via_subst(spec, args.p, args.n)
     else:
-        raise UsageError(f"unknown method {args.method!r}")
+        value = fharmonic.harmonic_via_subst(spec, args.p, args.n)
     _emit(_render_scalar(value, args.decimal), args.output)
     return 0
 
@@ -322,15 +322,6 @@ def cmd_verify(args) -> int:
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
-    max_n = args.max_n
-    env_cap = os.environ.get("FSTIRLING_MAX_N")
-    if env_cap:
-        try:
-            max_n = int(env_cap)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if max_n < 0:
-            raise UsageError("N must be >= 0")
     names = SUITES if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -338,7 +329,7 @@ def cmd_verify(args) -> int:
     all_reports: list[Report] = []
     failed = False
     for name in names:
-        reports = run_suite(name, spec, t, max_n)
+        reports = run_suite(name, spec, t, args.max_n)
         all_reports.extend(reports)
         suite_pass = all(r.passed for r in reports)
         cells = sum(len(r.cells) for r in reports)
@@ -366,12 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, t=True, decimal=False):
         p.add_argument("--f", required=True, help="f spec DSL, e.g. linear:1,0")
-        p.add_argument("--t", default="1", help="t value: rational or 'symbolic'")
+        if t:
+            p.add_argument("--t", default="1", help="t value: rational or 'symbolic'")
         p.add_argument("--output", help="write output to this path instead of stdout")
-        p.add_argument("--decimal", type=_nonnegative_int, default=None,
-                       help="render rationals as floor(value * 10^K) with K decimal digits")
+        if decimal:
+            p.add_argument("--decimal", type=_nonnegative_int, default=None,
+                           help="render rationals as floor(value * 10^K) with K decimal digits")
 
     p = sub.add_parser("triangle", help="compute a triangle")
     common(p)
@@ -381,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("harmonic", help="compute a p-order f-harmonic number")
-    common(p)
+    common(p, decimal=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--method", choices=["direct", "ftilde", "roots", "subst"],
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("convpoly", help="tabulate convolution polynomial analogs")
-    common(p)
+    common(p, decimal=True)
     p.add_argument("--variant", choices=["sigma", "sigma~"], default="sigma")
     p.add_argument("--n-max", type=_nonnegative_int, required=True)
     p.add_argument("--x-max", type=_nonnegative_int, required=True)
@@ -397,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convpoly)
 
     p = sub.add_parser("eulersum", help="exact partial sums of Euler-like series")
-    common(p)
+    common(p, t=False, decimal=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--mode", choices=["harmonic_over_f", "fzeta", "fzeta2r"],

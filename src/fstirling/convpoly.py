@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .factorial import TParam, bang_f, check_config
 from .fspec import FSpec, eval_f, linear
@@ -117,34 +117,22 @@ def stirlingpoly_gf_check(family: str, n_max: int, x_max: int,
     return report
 
 
-class Eulerian2Triangle(NamedTuple):
-    """Second-order Eulerian numbers: row n holds entries k = 0..n-1 (row 0 = [1])."""
-
-    rows: tuple
-
-    def entry(self, n: int, k: int) -> int:
-        row = self.rows[n]
-        if 0 <= k < len(row):
-            return row[k]
-        return 0
-
-
-def eulerian2_triangle(N: int) -> Eulerian2Triangle:
-    """Build rows 0..N by the recurrence
+def eulerian2_triangle(N: int) -> Tuple[Tuple[int, ...], ...]:
+    """Rows 0..N of the second-order Eulerian numbers: row n holds entries
+    k = 0..n-1 (row 0 = (1,)), built by the recurrence
     e(n, k) = (k+1) e(n-1, k) + (2n-1-k) e(n-1, k-1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
     rows: List[tuple] = [(1,)]
     for n in range(1, N + 1):
         prev = rows[n - 1]
-        width = max(n, 1)
         row = []
-        for k in range(width):
+        for k in range(n):
             up = prev[k] if k < len(prev) else 0
             left = prev[k - 1] if 0 <= k - 1 < len(prev) else 0
             row.append((k + 1) * up + (2 * n - 1 - k) * left)
         rows.append(tuple(row))
-    return Eulerian2Triangle(tuple(rows))
+    return tuple(rows)
 
 
 def eulerian2_identity_check(n_max: int, x_max: int) -> Report:
@@ -157,7 +145,7 @@ def eulerian2_identity_check(n_max: int, x_max: int) -> Report:
         for x in range(n + 1, x_max + 1):
             lhs = tri.entry(x, x - n).constant_value()
             rhs = sum(
-                e2.entry(n, k) * math.comb(x + k, 2 * n) for k in range(n)
+                e2[n][k] * math.comb(x + k, 2 * n) for k in range(n)
             )
             report.check((n, x), lhs, Fraction(rhs))
     return report

@@ -114,21 +114,10 @@ def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:
 # -- weighted sums ---------------------------------------------------------
 
 
-class WfTable:
-    """Weighted sums w(n+1, m), m <= m_max, and the F_n^(j)(t^j), j < m_max, they use."""
-
-    __slots__ = ("n", "values", "harmonics")
-
-    def __init__(self, n: int, values: Dict[int, LaurentPoly],
-                 harmonics: Tuple[LaurentPoly, ...]):
-        self.n, self.values, self.harmonics = n, values, harmonics
-
-    def __getitem__(self, m: int) -> LaurentPoly:
-        return self.values[m]
-
-
-def wf_table(spec: FSpec, t: TParam, n: int, m_max: int) -> WfTable:
-    """Build w(n+1, m) recursively.
+def wf_table(spec: FSpec, t: TParam, n: int, m_max: int
+             ) -> Tuple[Dict[int, LaurentPoly], Tuple[LaurentPoly, ...]]:
+    """Build w(n+1, m) recursively; returns ``{m: w(n+1, m)}`` for m <= m_max
+    and the tuple of F_n^(j)(t^j), j < m_max, it uses.
 
     Base case w(n+1, 1) = t^(-n(n+1)/2); for m >= 2,
 
@@ -154,7 +143,7 @@ def wf_table(spec: FSpec, t: TParam, n: int, m_max: int) -> WfTable:
             term = harmonics[k] * values[m - 1 - k] * Fraction((-1) ** k * fall)
             acc = acc + term
         values[m] = acc
-    return WfTable(n, values, harmonics)
+    return values, harmonics
 
 
 def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
@@ -169,12 +158,11 @@ def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
     tri = s1_triangle(spec, tp, N + 1)
     report = Report("s1-from-wf", {"f": spec.render(), "t": tp, "N": N})
     for n in range(N + 1):
-        wtab = wf_table(spec, tp, n, n + 1)
+        w, F = wf_table(spec, tp, n, n + 1)
         nf = bang_f(spec, n)
-        F = wtab.harmonics
         for k in range(1, n + 2):
             lhs = tri.entry(n + 1, k)
-            line1 = nf * wtab[k] / Fraction(math.factorial(k - 1))
+            line1 = nf * w[k] / Fraction(math.factorial(k - 1))
             report.check((n, k, "w-column"), lhs, line1)
             acc = LaurentPoly.constant("t", 0)
             for j in range(k - 1):
@@ -244,28 +232,28 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     ) * Fraction((-1) ** p)
     rhs = rhs + leading
 
-    # first double sum: composition products over the t^(1/p) triangle
-    for j in range(p):
-        comp = LaurentPoly.constant("t", 0)
-        for ks in _bounded_tuples(j, p - j, j):
+    def composition_sum(tri, total: int, parts: int) -> LaurentPoly:
+        """Sum over compositions of ``total`` into ``parts`` ordered parts
+        i_m >= 0 of the products of entry(n+1, i_m + 2)."""
+        acc = LaurentPoly.constant("t", 0)
+        for ks in _compositions(total, parts):
             prod = LaurentPoly.constant("t", 1)
             for i in ks:
-                prod = prod * tri_p.entry(n + 1, i + 2)
-            comp = comp + prod
-        rhs = rhs + comp * t_full ** s / (
+                prod = prod * tri.entry(n + 1, i + 2)
+            acc = acc + prod
+        return acc
+
+    # first double sum: composition products over the t^(1/p) triangle
+    for j in range(p):
+        rhs = rhs + composition_sum(tri_p, j, p - j) * t_full ** s / (
             t_over_p ** (j * s) * nf ** (p - j)
         ) * Fraction(p * (-1) ** (j + 1), p - j)
 
     # second double sum: mixed terms over the t^(1/(p+1)) triangle
     for j in range(p):
         for i in range(j + 1):
-            comp = LaurentPoly.constant("t", 0)
-            for ks in _bounded_tuples(j - i, p - j, j - i):
-                prod = LaurentPoly.constant("t", 1)
-                for m in ks:
-                    prod = prod * tri_p1.entry(n + 1, m + 2)
-                comp = comp + prod
-            rhs = rhs + tri_p1.entry(n + 1, i + 2) * comp * t_full ** s / (
+            term = tri_p1.entry(n + 1, i + 2) * composition_sum(tri_p1, j - i, p - j)
+            rhs = rhs + term * t_full ** s / (
                 t_over_p1 ** (j * s) * nf ** (p + 1 - j)
             ) * Fraction((p + 1) * (-1) ** j, p + 1 - j)
 
@@ -286,14 +274,14 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     return report
 
 
-def _bounded_tuples(total: int, parts: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered tuples (i_1..i_parts) with 0 <= i_m <= cap and sum = total."""
+def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    """Ordered tuples (i_1..i_parts) with every i_m >= 0 and sum = total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(0, min(cap, total) + 1):
-        for rest in _bounded_tuples(total - first, parts - 1, cap):
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 

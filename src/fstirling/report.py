@@ -56,11 +56,12 @@ class CheckCell:
             return None
 
     def to_json(self) -> dict:
+        residual = self.residual
         out = {
             "indices": list(self.indices),
             "lhs": render_value(self.lhs),
             "rhs": render_value(self.rhs),
-            "residual": render_value(self.residual) if self.residual is not None else None,
+            "residual": render_value(residual) if residual is not None else None,
             "pass": self.passed,
         }
         if self.note:

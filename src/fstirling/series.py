@@ -125,14 +125,11 @@ class TruncSeries:
             base = base * base
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be invertible."""
+        """Multiplicative inverse; the constant term must be a nonzero rational."""
         c0 = self.coeffs[0]
-        if isinstance(c0, (int, Fraction)):
-            if c0 == 0:
-                raise ZeroDivisionError("series has zero constant term")
-            inv0 = Fraction(1) / Fraction(c0)
-        else:
-            inv0 = c0.inverse()
+        if c0 == 0:
+            raise ZeroDivisionError("series has zero constant term")
+        inv0 = Fraction(1) / Fraction(c0)
         out = [inv0]
         for k in range(1, self.order + 1):
             acc = Fraction(0)

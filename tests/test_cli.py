@@ -14,10 +14,8 @@ from fstirling.cli import main
 from fstirling.fspec import linear
 from fstirling.report import digits_unlimited, render_value
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-TABLE_ARG = f"table:{os.path.join(DATA, 'table12.json')}"
 
 
 def run_cli(args, capsys):
@@ -177,8 +175,6 @@ def test_negative_decimal_is_a_usage_error(capsys):
         ["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "10"],
         ["harmonic", "--f", "linear:1,0", "--p", "2", "--n", "3"],
         ["convpoly", "--f", "linear:1,0", "--n-max", "1", "--x-max", "3"],
-        ["triangle", "--f", "linear:1,0", "--rows", "2"],
-        ["verify", "--suite", "wf", "--f", "linear:1,0"],
     ]
     for argv in commands:
         code, out, err = run_cli(argv + ["--decimal", "-2"], capsys)
@@ -186,6 +182,17 @@ def test_negative_decimal_is_a_usage_error(capsys):
         assert out == ""
         assert "error: argument --decimal: must be >= 0" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangle", "--f", "linear:1,0", "--rows", "2", "--decimal", "3"],
+    ["verify", "--suite", "wf", "--f", "linear:1,0", "--decimal", "3"],
+    ["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "10", "--t", "2"],
+], ids=["triangle-decimal", "verify-decimal", "eulersum-t"])
+def test_a_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -217,24 +224,14 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,env,message", [
-    (["triangle", "--f", "linear:1,0", "--t", "0", "--rows", "3"], None,
-     "t must be nonzero"),
-    (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], None,
-     "order p must be >= 1"),
-    (["harmonic", "--f", "linear:1,0", "--p", "4", "--n", "3", "--method", "roots"], None,
+@pytest.mark.parametrize("argv,message", [
+    (["triangle", "--f", "linear:1,0", "--t", "0", "--rows", "3"], "t must be nonzero"),
+    (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], "order p must be >= 1"),
+    (["harmonic", "--f", "linear:1,0", "--p", "4", "--n", "3", "--method", "roots"],
      "root-of-unity route requires prime p, got 4"),
-    (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "0"], None,
-     "N must be >= 1"),
-    (["verify", "--suite", "wf", "--f", "linear:1,0"], "abc",
-     "invalid literal for int() with base 10: 'abc'"),
-    (["verify", "--suite", "wf", "--f", "linear:1,0"], "-1",
-     "N must be >= 0"),
-], ids=["t-zero", "harmonic-p", "roots-non-prime", "eulersum-N", "max-n-env-text",
-        "max-n-env-negative"])
-def test_bad_input_is_a_usage_error(argv, env, message, capsys, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("FSTIRLING_MAX_N", env)
+    (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "0"], "N must be >= 1"),
+], ids=["t-zero", "harmonic-p", "roots-non-prime", "eulersum-N"])
+def test_bad_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -289,15 +286,12 @@ def test_usage_errors_exit_two(capsys):
                     "--rows", "3"], capsys)[0] == 2
 
 
-def test_max_n_environment_override(capsys, monkeypatch):
-    monkeypatch.setenv("FSTIRLING_MAX_N", "3")
-    code, out, _ = run_cli(
-        ["verify", "--suite", "harmonic-routes", "--f", TABLE_ARG, "--t", "1",
-         "--max-n", "9"], capsys
-    )
-    assert code == 0
-    # 4 n-values * (5 ftilde + 3 roots + 4 subst) cells
-    assert "(48 cells)" in out
+def test_the_environment_does_not_change_the_sweep_depth(capsys, monkeypatch):
+    argv = ["verify", "--suite", "wf", "--f", "linear:1,0", "--max-n", "2"]
+    expected = (0, "pass  wf                   (12 cells)\n", "")
+    assert run_cli(argv, capsys) == expected
+    monkeypatch.setenv("FSTIRLING_MAX_N", "20")
+    assert run_cli(argv, capsys) == expected
 
 
 def test_entry_point_subprocess():

@@ -73,12 +73,12 @@ def test_gf_alphabeta_hand_anchor():
 
 
 def test_eulerian2_rows():
-    tri = eulerian2_triangle(4)
-    assert tri.rows[1] == (1,)
-    assert tri.rows[2] == (1, 2)
-    assert tri.rows[3] == (1, 8, 6)
-    assert tri.rows[4] == (1, 22, 58, 24)
-    assert tri.entry(3, 5) == 0
+    rows = eulerian2_triangle(4)
+    assert rows[1] == (1,)
+    assert rows[2] == (1, 2)
+    assert rows[3] == (1, 8, 6)
+    assert rows[4] == (1, 22, 58, 24)
+    assert len(rows) == 5
 
 
 def test_eulerian2_identity():

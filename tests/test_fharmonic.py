@@ -114,8 +114,9 @@ def test_wf_hand_anchor():
     h2 = Fraction(49, 36)
     assert 6 * (h1 ** 2 - h2) / 2 == 6
     # column formula: entry(4,3) = 3!_f w(4,3)/2!, so w(4,3) = H^2 - H^(2)
-    table = wf_table(spec, 1, 3, 3)
-    assert table[3] == h1 ** 2 - h2
+    values, harmonics = wf_table(spec, 1, 3, 3)
+    assert values[3] == h1 ** 2 - h2
+    assert harmonics == (h1, h2)
 
 
 @pytest.mark.parametrize("spec,t", MATRIX)
