@@ -1,10 +1,11 @@
 """Batch command line front end.
 
     fstirling triangle  --kind s1|s2 --f <dsl> --t <t> --rows N [--format json|csv]
-    fstirling harmonic  --f <dsl> --t <t> --p P --n N [--method direct|ftilde|roots|subst]
+    fstirling harmonic  --f <dsl> --t <t> --p P --n N [--method direct|ftilde|roots]
                         [--decimal K]
+    fstirling harmonic  --f <dsl> --p P --n N --method subst [--decimal K]
     fstirling convpoly  --f <dsl> --t <t> --variant sigma|sigma~ --n-max N --x-max X
-                        [--format json|csv] [--decimal K]
+                        [--format csv [--decimal K] | --format json]
     fstirling eulersum  --f <dsl> --r R --N TERMS --mode harmonic_over_f|fzeta|fzeta2r [--decimal K]
     fstirling verify    --suite <name>|all --f <dsl> --t <t> [--max-n N]
 
@@ -65,12 +66,9 @@ def _parse_t(text: str):
 
 def _fixed_str(whole: int, digits: int) -> str:
     """Render whole / 10^digits with exactly ``digits`` decimals."""
-    from .report import digits_unlimited
-
     sign = "-" if whole < 0 else ""
     intpart, frac = divmod(abs(whole), 10 ** digits)
-    with digits_unlimited():
-        return f"{sign}{intpart}.{str(frac).zfill(digits)}"
+    return f"{sign}{intpart}.{str(frac).zfill(digits)}"
 
 
 def _nonnegative_int(text: str) -> int:
@@ -95,19 +93,18 @@ def _emit(text: str, path: str | None):
 
 def _render_scalar(value, decimal: int | None) -> str:
     from .laurent import LaurentPoly
-    from .report import digits_unlimited
 
     if isinstance(value, LaurentPoly) and value.is_constant():
         value = value.constant_value()
     if decimal is not None and isinstance(value, Fraction):
         return _fixed_str(value.numerator * 10 ** decimal // value.denominator, decimal)
-    with digits_unlimited():
-        return str(value)
+    return str(value)
 
 
 def cmd_triangle(args) -> int:
     from . import stirling
     from .factorial import check_config
+    from .report import digits_unlimited, json_text
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
@@ -117,12 +114,9 @@ def cmd_triangle(args) -> int:
         tp = check_config(spec, t)
         entries = tuple(stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1))
         tri = stirling.Triangle(spec, tp, args.rows, entries)
-    if args.format == "json":
-        import json
-
-        _emit(json.dumps(tri.to_json(), indent=2), args.output)
-    else:
-        _emit(tri.to_csv(), args.output)
+    with digits_unlimited():
+        text = json_text(tri.to_json()) if args.format == "json" else tri.to_csv()
+    _emit(text, args.output)
     return 0
 
 
@@ -130,9 +124,12 @@ def cmd_harmonic(args) -> int:
     from . import fharmonic
     from .cyclotomic import is_prime
     from .factorial import check_config
+    from .report import digits_unlimited
 
+    if args.method == "subst" and args.t is not None:
+        raise UsageError("--t does not apply to --method subst, which works at t = u^p")
     spec = parse_fspec(args.f)
-    t = _parse_t(args.t)
+    t = _parse_t("1" if args.t is None else args.t)
     tp = check_config(spec, t)
     if args.method == "roots" and not is_prime(args.p):
         raise UsageError(f"root-of-unity route requires prime p, got {args.p}")
@@ -146,15 +143,19 @@ def cmd_harmonic(args) -> int:
         value = fharmonic.harmonic_via_roots(spec, tp, args.p, args.n)
     else:
         value = fharmonic.harmonic_via_subst(spec, args.p, args.n)
-    _emit(_render_scalar(value, args.decimal), args.output)
+    with digits_unlimited():
+        text = _render_scalar(value, args.decimal)
+    _emit(text, args.output)
     return 0
 
 
 def cmd_convpoly(args) -> int:
     from . import convpoly, stirling
     from .factorial import check_config
-    from .report import render_t, render_value
+    from .report import digits_unlimited, json_text, render_t, render_value
 
+    if args.format == "json" and args.decimal is not None:
+        raise UsageError("--decimal applies only to --format csv")
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
     tp = check_config(spec, t)
@@ -164,43 +165,45 @@ def cmd_convpoly(args) -> int:
         for x in range(n + 1, args.x_max + 1):
             value = convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri)
             rows.append((n, x, value))
-    if args.format == "json":
-        import json
+    with digits_unlimited():
+        if args.format == "json":
+            payload = {
+                "f": spec.render(),
+                "t": render_t(tp),
+                "variant": args.variant,
+                "values": [
+                    {"n": n, "x": x, "value": render_value(v)} for n, x, v in rows
+                ],
+            }
+            text = json_text(payload)
+        else:
+            import csv
+            import io
 
-        payload = {
-            "f": spec.render(),
-            "t": render_t(tp),
-            "variant": args.variant,
-            "values": [
-                {"n": n, "x": x, "value": render_value(v)} for n, x, v in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "x", "value"])
-        for n, x, v in rows:
-            writer.writerow([n, x, _render_scalar(v, args.decimal)])
-        _emit(buf.getvalue(), args.output)
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["n", "x", "value"])
+            for n, x, v in rows:
+                writer.writerow([n, x, _render_scalar(v, args.decimal)])
+            text = buf.getvalue()
+    _emit(text, args.output)
     return 0
 
 
 def cmd_eulersum(args) -> int:
     from . import eulersum
+    from .report import digits_unlimited
 
     spec = parse_fspec(args.f)
     if args.N < 1:
         raise UsageError("N must be >= 1")
     if args.decimal is None:
         value = eulersum.euler_sum_numeric(spec, args.r, args.N, args.mode)
-        _emit(_render_scalar(value, None), args.output)
     else:
-        whole = eulersum.euler_sum_floor(spec, args.r, args.N, args.mode, 10 ** args.decimal)
-        _emit(_fixed_str(whole, args.decimal), args.output)
+        value = eulersum.euler_sum_floor(spec, args.r, args.N, args.mode, 10 ** args.decimal)
+    with digits_unlimited():
+        text = str(value) if args.decimal is None else _fixed_str(value, args.decimal)
+    _emit(text, args.output)
     return 0
 
 
@@ -318,7 +321,7 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
 
 
 def cmd_verify(args) -> int:
-    from .report import render_value
+    from .report import digits_unlimited, json_text, render_value
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
@@ -337,16 +340,20 @@ def cmd_verify(args) -> int:
         print(f"{status:4}  {name:20} ({cells} cells)")
         if not suite_pass:
             failed = True
-            for r in reports:
-                for cell in r.failures[:5]:
-                    print(f"      {r.identity} {cell.indices}: "
-                          f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}")
+            with digits_unlimited():
+                for r in reports:
+                    for cell in r.failures[:5]:
+                        print(f"      {r.identity} {cell.indices}: "
+                              f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}")
     if args.output:
-        import json
-
-        payload = [r.to_json() for r in all_reports]
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        # The text of json.dumps(reports, indent=2), written a report at a time.
+        with open(args.output, "w") as fh, digits_unlimited():
+            sep = "[\n  "
+            for r in all_reports:
+                fh.write(sep)
+                fh.write(json_text(r.to_json(), 1))
+                sep = ",\n  "
+            fh.write("\n]")
     return 1 if failed else 0
 
 
@@ -379,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--method", choices=["direct", "ftilde", "roots", "subst"],
                    default="direct")
-    p.set_defaults(func=cmd_harmonic)
+    # None tells an explicit --t, which subst rejects, from the default 1.
+    p.set_defaults(func=cmd_harmonic, t=None)
 
     p = sub.add_parser("convpoly", help="tabulate convolution polynomial analogs")
     common(p, decimal=True)

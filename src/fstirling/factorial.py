@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .fspec import FSpec, FSpecError, eval_f
+from .fspec import FSpec, FSpecError, eval_f, f_pairs
 from .laurent import LaurentPoly
 
 TParam = Union[int, Fraction, LaurentPoly, str]
@@ -46,10 +46,15 @@ def bang_f(spec: FSpec, n: int) -> LaurentPoly:
     """prod_{j=1}^{n} f(j); the empty product for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    acc = LaurentPoly.constant("t", 1)
-    for j in range(1, n + 1):
-        acc = acc * eval_f(spec, j)
-    return acc
+    if spec.symbolic:
+        acc = LaurentPoly.constant("t", 1)
+        for j in range(1, n + 1):
+            acc = acc * eval_f(spec, j)
+        return acc
+    num = den = 1
+    for a, b in f_pairs(spec, 1, n + 1):
+        num, den = num * a, den * b
+    return LaurentPoly.constant("t", Fraction(num, den))
 
 
 def bang_ft(spec: FSpec, t: TParam, n: int) -> LaurentPoly:

@@ -241,18 +241,30 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self!s})"
 
+    def _coeff_texts(self):
+        """``(exponent, text)`` of each nonzero coefficient, in exponent order; the
+        text is the coefficient in lowest terms, written as ``str(Fraction)`` does."""
+        den = self.den
+        for e, c in enumerate(self.num, self.lo):
+            if c:
+                if den == 1:
+                    yield e, str(c)
+                else:
+                    g = gcd(c, den)
+                    yield e, str(c // g) if g == den else f"{c // g}/{den // g}"
+
     def __str__(self):
         if not self.num:
             return "0"
         parts = []
-        for e, c in self.terms.items():
+        for e, c in self._coeff_texts():
             if e == 0:
-                parts.append(str(c))
+                parts.append(c)
             else:
                 base = self.var if e == 1 else f"{self.var}^{e}"
-                if c == 1:
+                if c == "1":
                     parts.append(base)
-                elif c == -1:
+                elif c == "-1":
                     parts.append(f"-{base}")
                 else:
                     parts.append(f"{c}*{base}")
@@ -260,8 +272,4 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         """Canonical JSON form: {"var": ..., "terms": {"<exp>": "<rational>"}}."""
-        return {
-            "var": self.var,
-            "terms": {str(e): str(c) for e, c in self.terms.items()},
-        }
-
+        return {"var": self.var, "terms": {str(e): c for e, c in self._coeff_texts()}}

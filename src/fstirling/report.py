@@ -28,13 +28,58 @@ def digits_unlimited():
 
 
 def render_value(v) -> object:
-    """Canonical text/JSON form for rationals and polynomials."""
-    with digits_unlimited():
-        if isinstance(v, LaurentPoly):
-            if v.is_constant():
-                return str(v.constant_value())
+    """Canonical text/JSON form for rationals and polynomials.  A value past
+    Python's int-to-string digit limit renders only inside ``digits_unlimited``,
+    which callers enter once per document."""
+    if isinstance(v, LaurentPoly):
+        if not v.num:
+            return "0"
+        if v.lo or len(v.num) > 1:
             return v.to_json()
-        return str(v)
+        # A single coefficient is kept in lowest terms.
+        return str(v.num[0]) if v.den == 1 else f"{v.num[0]}/{v.den}"
+    return str(v)
+
+
+def json_text(obj, level: int = 0) -> str:
+    """Exactly the text of ``json.dumps(obj, indent=2)``, as it reads at nesting
+    depth ``level`` of an enclosing document.  Dict keys must be strings.
+
+    The standard library's ``indent`` encoder is pure Python and keeps every
+    chunk of the document in one list before joining; here each container is
+    one join, and strings go through the C string encoder.
+    """
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
+    def encode(obj, newline):
+        if isinstance(obj, str):
+            return quote(obj)
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = newline + "  "
+            return ("{" + inner + ("," + inner).join(
+                [quote(k) + ": " + (quote(v) if type(v) is str else encode(v, inner))
+                 for k, v in obj.items()]) + newline + "}")
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            inner = newline + "  "
+            return ("[" + inner + ("," + inner).join(
+                [quote(v) if type(v) is str else encode(v, inner) for v in obj])
+                + newline + "]")
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if obj is None:
+            return "null"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        return json.dumps(obj)
+
+    return encode(obj, "\n" + "  " * level)
 
 
 def render_t(t: LaurentPoly) -> str:

@@ -34,6 +34,16 @@ def test_triangle_csv(capsys):
     assert "4,2,11" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_triangle_entries_past_the_digit_limit(fmt, capsys):
+    # At t = 1/1000 the row-60 entries have denominators of about 5300 digits,
+    # past Python's default 4300-digit int-to-string limit.
+    code, out, _ = run_cli(["triangle", "--f", "linear:1,0", "--t", "1/1000", "--rows", "60",
+                            "--format", fmt], capsys)
+    assert code == 0
+    assert max(map(len, out.split(","))) > 4300
+
+
 def test_triangle_json_round_trips(capsys):
     args = ["triangle", "--f", "linear:2,1", "--t", "3/2", "--rows", "5",
             "--format", "json"]
@@ -103,6 +113,36 @@ def test_harmonic_value_and_decimal(capsys):
         assert out.strip() == "49/36"
     code, out, _ = run_cli(base + ["--decimal", "6"], capsys)
     assert out.strip() == "1.361111"
+
+
+def test_harmonic_t_defaults_to_one_and_subst_works_at_u(capsys):
+    base = ["harmonic", "--f", "linear:2,1", "--p", "2", "--n", "3"]
+    for method in ("direct", "ftilde", "roots"):
+        argv = base + ["--method", method]
+        assert run_cli(argv, capsys) == run_cli(argv + ["--t", "1"], capsys) == (0, "1891/11025\n", "")
+    assert run_cli(base + ["--method", "subst"], capsys) == (
+        0, "1/9*u^2 + 1/25*u^4 + 1/49*u^6\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangle", "--f", "linear:2,1", "--t", "symbolic", "--rows", "8", "--format", "json"],
+    ["triangle", "--kind", "s2", "--f", "linear:2,1", "--t", "3/2", "--rows", "6",
+     "--format", "json"],
+    ["convpoly", "--f", "linear:2,1", "--t", "symbolic", "--n-max", "2", "--x-max", "5",
+     "--format", "json"],
+    ["verify", "--suite", "all", "--f", "linear:2,1", "--t", "symbolic", "--max-n", "3"],
+    ["verify", "--suite", "wf", "--f", "linear:2,1", "--t", "3/2", "--max-n", "3"],
+], ids=["triangle-s1", "triangle-s2", "convpoly", "verify-all", "verify-one-suite"])
+def test_json_output_is_the_standard_indent_2_text(argv, tmp_path, capsys):
+    if argv[0] == "verify":
+        report = tmp_path / "report.json"
+        run_cli(argv + ["--output", str(report)], capsys)
+        text = report.read_text()
+    else:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.endswith("\n")
+        text = out[:-1]
+    assert text == json.dumps(json.loads(text), indent=2)
 
 
 def test_convpoly_table(capsys):
@@ -230,7 +270,12 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
     (["harmonic", "--f", "linear:1,0", "--p", "4", "--n", "3", "--method", "roots"],
      "root-of-unity route requires prime p, got 4"),
     (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "0"], "N must be >= 1"),
-], ids=["t-zero", "harmonic-p", "roots-non-prime", "eulersum-N"])
+    (["convpoly", "--f", "linear:2,1", "--n-max", "1", "--x-max", "3", "--format", "json",
+      "--decimal", "4"], "--decimal applies only to --format csv"),
+    (["harmonic", "--f", "linear:2,1", "--p", "2", "--n", "3", "--method", "subst",
+      "--t", "1"], "--t does not apply to --method subst, which works at t = u^p"),
+], ids=["t-zero", "harmonic-p", "roots-non-prime", "eulersum-N", "convpoly-json-decimal",
+        "subst-t"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstirling.laurent import LaurentPoly
+from fstirling.report import digits_unlimited
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -157,6 +158,55 @@ def check_normalized(p: LaurentPoly):
         assert gcd(p.den, *p.num) == 1
     else:
         assert (p.lo, p.den) == (0, 1)
+
+
+def ref_str(terms: dict, var: str = "t") -> str:
+    """The rendering of ``__str__``, term by term from ``Fraction`` values."""
+    parts = []
+    for e, c in sorted(terms.items()):
+        base = var if e == 1 else f"{var}^{e}"
+        if e == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(base)
+        elif c == -1:
+            parts.append(f"-{base}")
+        else:
+            parts.append(f"{c}*{base}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+@st.composite
+def rendered_terms(draw):
+    """Dense runs with gaps, or a few terms spread over 400 exponents, with the
+    coefficients 1 and -1 mixed in, since they render without a factor."""
+    special = st.sampled_from([Fraction(1), Fraction(-1), Fraction(-1, 2)])
+    sparse = st.dictionaries(st.integers(min_value=-200, max_value=200),
+                             wide_rationals | special, max_size=4)
+    terms = draw(wide_terms() | sparse)
+    extra = draw(st.dictionaries(st.integers(min_value=-2, max_value=2), special, max_size=3))
+    return {e: c for e, c in {**terms, **extra}.items() if c}
+
+
+def check_rendering(terms: dict, var: str):
+    p = LaurentPoly(var, terms)
+    assert str(p) == ref_str(terms, var)
+    assert p.to_json() == {"var": var,
+                           "terms": {str(e): str(c) for e, c in sorted(terms.items())}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_terms(), st.sampled_from(["t", "u"]))
+def test_rendering_matches_fraction_reference(terms, var):
+    check_rendering(terms, var)
+
+
+def test_rendering_past_the_digit_limit():
+    terms = {0: Fraction(-(10 ** 4400) - 1, 3), 1: Fraction(1), 5: Fraction(2, 10 ** 4301)}
+    with digits_unlimited():
+        check_rendering(terms, "t")
+    with pytest.raises(ValueError, match="4300"):
+        str(LaurentPoly("t", terms))
 
 
 @settings(max_examples=150, deadline=None)
