@@ -46,6 +46,7 @@ SUITES = [
     "experimental-fit",
     "euler-sum-numeric",
 ]
+SLOWEST_SUITES = ("euler-sum-numeric", "harmonic-routes")
 
 
 class UsageError(Exception):
@@ -81,13 +82,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, path: str | None):
+def _emit(chunks, path: str | None):
+    """Write the text pieces ``chunks`` to ``path``, or to stdout ending in a newline."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -104,7 +108,7 @@ def _render_scalar(value, decimal: int | None) -> str:
 def cmd_triangle(args) -> int:
     from . import stirling
     from .factorial import check_config
-    from .report import digits_unlimited, json_text
+    from .report import digits_unlimited
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
@@ -115,8 +119,7 @@ def cmd_triangle(args) -> int:
         entries = tuple(stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1))
         tri = stirling.Triangle(spec, tp, args.rows, entries)
     with digits_unlimited():
-        text = json_text(tri.to_json()) if args.format == "json" else tri.to_csv()
-    _emit(text, args.output)
+        _emit(tri.json_chunks() if args.format == "json" else (tri.to_csv(),), args.output)
     return 0
 
 
@@ -145,7 +148,7 @@ def cmd_harmonic(args) -> int:
         value = fharmonic.harmonic_via_subst(spec, args.p, args.n)
     with digits_unlimited():
         text = _render_scalar(value, args.decimal)
-    _emit(text, args.output)
+    _emit((text,), args.output)
     return 0
 
 
@@ -186,7 +189,7 @@ def cmd_convpoly(args) -> int:
             for n, x, v in rows:
                 writer.writerow([n, x, _render_scalar(v, args.decimal)])
             text = buf.getvalue()
-    _emit(text, args.output)
+    _emit((text,), args.output)
     return 0
 
 
@@ -203,7 +206,7 @@ def cmd_eulersum(args) -> int:
         value = eulersum.euler_sum_floor(spec, args.r, args.N, args.mode, 10 ** args.decimal)
     with digits_unlimited():
         text = str(value) if args.decimal is None else _fixed_str(value, args.decimal)
-    _emit(text, args.output)
+    _emit((text,), args.output)
     return 0
 
 
@@ -321,7 +324,8 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
 
 
 def cmd_verify(args) -> int:
-    from .report import digits_unlimited, json_text, render_value
+    from .factorial import check_config
+    from .report import digits_unlimited, json_list_chunks, json_text, render_value
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
@@ -329,31 +333,45 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             raise UsageError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
-    all_reports: list[Report] = []
-    failed = False
-    for name in names:
+    check_config(spec, t)
+
+    def suite_output(name: str) -> tuple:
+        """A suite's console lines, whether it failed, and its reports' JSON texts."""
         reports = run_suite(name, spec, t, args.max_n)
-        all_reports.extend(reports)
-        suite_pass = all(r.passed for r in reports)
+        failed = not all(r.passed for r in reports)
         cells = sum(len(r.cells) for r in reports)
-        status = "pass" if suite_pass else "FAIL"
-        print(f"{status:4}  {name:20} ({cells} cells)")
-        if not suite_pass:
-            failed = True
-            with digits_unlimited():
-                for r in reports:
-                    for cell in r.failures[:5]:
-                        print(f"      {r.identity} {cell.indices}: "
-                              f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}")
+        lines = [f"{'FAIL' if failed else 'pass':4}  {name:20} ({cells} cells)"]
+        with digits_unlimited():
+            lines += [f"      {r.identity} {cell.indices}: "
+                      f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}"
+                      for r in reports for cell in r.failures[:5]]
+            texts = [json_text(r.to_json(), 1) for r in reports] if args.output else []
+        return "\n".join(lines), failed, texts
+
+    processes = 1
+    if args.may_fork and len(names) > 1:
+        from . import pool
+
+        processes = pool.processes_for(len(names))
+    if processes > 1:
+        # Compile the suites' modules once, before the workers are forked.
+        from . import convpoly, eulersum, fharmonic, stirling  # noqa: F401
+
+        # The two slowest suites start first, so neither is left to run alone.
+        order = sorted(range(len(names)), key=lambda i: names[i] not in SLOWEST_SUITES)
+        outputs = pool.run(suite_output, names, order, processes, (UsageError, FSpecError))
+    else:
+        outputs = map(suite_output, names)
+    failed = False
+    texts = []
+    for console, suite_failed, suite_texts in outputs:
+        print(console)
+        failed |= suite_failed
+        texts += suite_texts
     if args.output:
         # The text of json.dumps(reports, indent=2), written a report at a time.
-        with open(args.output, "w") as fh, digits_unlimited():
-            sep = "[\n  "
-            for r in all_reports:
-                fh.write(sep)
-                fh.write(json_text(r.to_json(), 1))
-                sep = ",\n  "
-            fh.write("\n]")
+        with open(args.output, "w") as fh:
+            fh.writelines(json_list_chunks(texts))
     return 1 if failed else 0
 
 
@@ -421,6 +439,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Only the process that is the command forks; an in-process caller, such
+    # as a test or a traced benchmark pass, keeps every suite in its process.
+    args.may_fork = argv is None
     # A command's work, and so a traced pass's counts, must not depend on
     # what ran before it in the same process.
     for module, store in (("stirling", "S1_ROWS"), ("fharmonic", "DIRECT_SUMS")):

@@ -82,6 +82,20 @@ def json_text(obj, level: int = 0) -> str:
     return encode(obj, "\n" + "  " * level)
 
 
+def json_list_chunks(texts, level: int = 0):
+    """The text of a JSON list at nesting depth ``level``, laid out as
+    ``json_text`` lays it out, in pieces: ``texts`` are the items' texts,
+    each ``json_text(item, level + 1)``.  A document can be written an item
+    at a time, without its whole text in memory."""
+    inner = "\n" + "  " * (level + 1)
+    sep = "[" + inner
+    for text in texts:
+        yield sep
+        yield text
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
+
+
 def render_t(t: LaurentPoly) -> str:
     """Canonical text of the t parameter: its rational value, or "symbolic"."""
     return "symbolic" if not t.is_constant() else str(t.constant_value())
@@ -101,12 +115,18 @@ class CheckCell:
             return None
 
     def to_json(self) -> dict:
-        residual = self.residual
+        lhs = render_value(self.lhs)
+        if self.passed and self.lhs is not None:
+            # rhs == lhs, so it renders alike and the residual is zero.
+            rhs, residual = lhs, "0"
+        else:
+            rhs, residual = render_value(self.rhs), self.residual
+            residual = render_value(residual) if residual is not None else None
         out = {
             "indices": list(self.indices),
-            "lhs": render_value(self.lhs),
-            "rhs": render_value(self.rhs),
-            "residual": render_value(residual) if residual is not None else None,
+            "lhs": lhs,
+            "rhs": rhs,
+            "residual": residual,
             "pass": self.passed,
         }
         if self.note:

@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional
 from .factorial import TParam, bang_f, bang_ft, check_config
 from .fspec import FSpec, eval_f
 from .laurent import LaurentPoly
-from .report import Report, render_t, render_value
+from .report import Report, json_list_chunks, json_text, render_t, render_value
 
 ORACLE_CAP = 15
 
@@ -39,12 +39,14 @@ class Triangle(NamedTuple):
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
 
-    def to_json(self) -> dict:
-        return {
-            "f": self.spec.render(),
-            "t": render_t(self.t),
-            "rows": [[render_value(e) for e in row] for row in self.entries],
-        }
+    def json_chunks(self):
+        """The JSON text of {"f", "t", "rows"} as ``json_text`` lays it out,
+        in pieces of one row each."""
+        head = json_text({"f": self.spec.render(), "t": render_t(self.t), "rows": []})
+        yield head[:-len("[]\n}")]
+        yield from json_list_chunks(
+            (json_text([render_value(e) for e in row], 2) for row in self.entries), 1)
+        yield "\n}"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -366,8 +366,9 @@ def test_a_closed_pipe_exits_141_without_a_traceback(argv):
 
 
 def _modules_loaded_by(argv):
-    """The module names a fresh interpreter holds after running one command."""
-    script = ("import sys\nfrom fstirling.cli import main\nmain(sys.argv[1:])\n"
+    """The module names a fresh interpreter holds after running one command, as
+    the command runs it: ``main()`` reads the arguments from ``sys.argv``."""
+    script = ("import sys\nfrom fstirling.cli import main\nmain()\n"
               "print(*sorted(sys.modules), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=SRC_ENV, check=True)
@@ -385,10 +386,13 @@ def _tracer_target_modules():
 @pytest.mark.parametrize("argv,absent", [
     (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "10", "--decimal", "3"],
      {"fstirling.stirling", "fstirling.fharmonic", "fstirling.convpoly",
-      "fstirling.cyclotomic"}),
+      "fstirling.cyclotomic", "fstirling.pool"}),
     (["triangle", "--f", "linear:1,0", "--rows", "0"],
-     {"fstirling.fharmonic", "fstirling.convpoly", "fstirling.cyclotomic"}),
-], ids=["eulersum", "triangle"])
+     {"fstirling.fharmonic", "fstirling.convpoly", "fstirling.cyclotomic",
+      "fstirling.pool"}),
+    # One suite never forks, so it does not load the worker pool.
+    (["verify", "--suite", "euler-sum-numeric", "--f", "linear:2,1"], {"fstirling.pool"}),
+], ids=["eulersum", "triangle", "verify-one-suite"])
 def test_a_command_loads_only_the_modules_it_runs(argv, absent):
     loaded = _modules_loaded_by(argv)
     assert "fstirling.cli" in loaded
