@@ -13,7 +13,8 @@ Exit codes: 0 success with all checks passing, 1 identity-check failure
 (reports still written), 2 usage or configuration error, 141 (128 + SIGPIPE)
 when the reader of standard output closes it early.  Bad input is rejected
 here, at the boundary; an error inside the library is a program fault and
-exits with its traceback, never with 2.
+exits with its traceback, never with 2.  The command process leaves through
+``console_main``, without interpreter teardown.
 
 Only argument parsing is imported up front; each command imports the
 modules it runs, so a cheap command does not load the verification suites.
@@ -464,5 +465,21 @@ def main(argv=None) -> int:
         return 141
 
 
+def console_main():
+    """The command process: the ``fstirling`` console script and
+    ``python -m fstirling.cli``.  Runs ``main()``, flushes stdout and stderr
+    and leaves through ``os._exit``, skipping interpreter finalization, which
+    took 9-21 ms per command and has nothing left to release: every file the
+    command writes is closed and every worker reaped.  A fault raised by
+    ``main`` takes the normal exit, with its traceback."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # output that an error exit or --help left unflushed
+        code = 141
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -16,6 +16,15 @@ from fstirling.report import digits_unlimited, render_value
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+# Block-buffered stdout, as a command writing to a pipe or file has by default,
+# so that output the command leaves unflushed would be lost.
+BUFFERED_ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+# The two ways the command process starts: `python -m fstirling.cli` and the
+# `fstirling` console script, which calls `console_main()`.
+ENTRIES = {
+    "module": ["-m", "fstirling.cli"],
+    "console": ["-c", "from fstirling.cli import console_main\nconsole_main()\n"],
+}
 
 
 def run_cli(args, capsys):
@@ -352,17 +361,72 @@ def test_entry_point_subprocess():
 @pytest.mark.parametrize("argv", [
     ["triangle", "--f", "linear:1,0", "--rows", "3"],
     ["triangle", "--f", "linear:1,0", "--rows", "150", "--format", "json"],
-], ids=["fails-at-exit-flush", "fails-mid-write"])
+    ["eulersum", "--help"],
+], ids=["fails-at-exit-flush", "fails-mid-write", "help-fails-at-exit-flush"])
 def test_a_closed_pipe_exits_141_without_a_traceback(argv):
     """As `fstirling triangle ... | head` does once head has exited."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "fstirling.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, env=SRC_ENV)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    for lead in ENTRIES.values():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *lead, *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=BUFFERED_ENV)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eulersum", "--f", "linear:2,1", "--r", "2", "--N", "3000", "--decimal", "7"], 0),
+    (["verify", "--suite", "wf", "--f", "linear:2,1", "--t", "3/2", "--output"], 0),
+    (["verify", "--suite", "prop1", "--f", "linear:1,0", "--max-n", "4", "--output"], 1),
+    (["eulersum", "--f", "linear:1", "--r", "2", "--N", "5", "--output"], 2),
+    # argparse prints the help text and ends the command with nothing flushed.
+    (["eulersum", "--help"], 0),
+], ids=["exit-0", "verify-exit-0", "verify-prop1-exit-1", "bad-spec-exit-2", "help-exit-0"])
+def test_both_entries_and_main_give_the_same_exit(argv, code, tmp_path, capsys):
+    """Exit code, stdout, stderr and --output file of each entry, and of
+    `main(argv)`, which returns its code in-process."""
+    def argv_for(name):
+        return [*argv, str(tmp_path / name)] if argv[-1] == "--output" else argv
+
+    def report(name):
+        path = tmp_path / name
+        return path.read_text() if path.exists() else None
+
+    results = []
+    for name, lead in ENTRIES.items():
+        proc = subprocess.run([sys.executable, *lead, *argv_for(name)],
+                              capture_output=True, text=True, env=BUFFERED_ENV)
+        results.append((proc.returncode, proc.stdout, proc.stderr, report(name)))
+    results.append((*run_cli(argv_for("main"), capsys), report("main")))
+    assert results[0][0] == code
+    assert results[0] == results[1] == results[2]
+
+
+# Makes the `wf` suite raise, then starts the command as the given entry does.
+FAULT = """
+import runpy, sys
+from fstirling import fharmonic
+def broken(*args):
+    raise ZeroDivisionError("internal fault")
+fharmonic.s1_from_wf_check = broken
+if sys.argv.pop(1) == "module":
+    runpy.run_module("fstirling.cli", run_name="__main__")
+else:
+    from fstirling.cli import console_main
+    console_main()
+"""
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_a_program_fault_exits_1_with_its_traceback(entry):
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT, entry, "verify", "--suite", "wf", "--f", "linear:1,0"],
+        capture_output=True, text=True, env=BUFFERED_ENV)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback (most recent call last)")
+    assert proc.stderr.endswith("ZeroDivisionError: internal fault\n")
 
 
 def _modules_loaded_by(argv):

@@ -229,7 +229,8 @@ def _floor_or_error(fn, *args):
 @given(
     spec=_specs,
     r=st.sampled_from([-1, 0, 1, 2, 3]),
-    N=st.integers(1, 60),
+    # Up to 200, past the Euler-Maclaurin head of every linear spec drawn here.
+    N=st.integers(1, 200),
     mode=st.sampled_from(EULER_MODES),
     k=st.integers(0, 12),
 )
@@ -260,6 +261,56 @@ def test_euler_sum_floor_rejects_bad_input():
         euler_sum_floor(linear(1, 0), 2, 0, "fzeta", 10)
     with pytest.raises(ValueError):
         euler_sum_floor(linear(1, 0), 2, 3, "no-such-mode", 10)
+
+
+# linear:1/7,-13/2 has negative terms before n = 46 and its head runs to n = 77.
+EM_SPECS = [linear(1, 0), linear(2, 1), linear(Fraction(3, 2), Fraction(-5, 3)),
+            linear(Fraction(1, 7), Fraction(-13, 2))]
+
+
+@pytest.mark.parametrize("spec", EM_SPECS, ids=str)
+@pytest.mark.parametrize("r", [2, 3])
+def test_euler_maclaurin_enclosure_brackets_the_exact_sum(spec, r):
+    """Head plus Euler-Maclaurin tail encloses the exact partial sum, at a
+    precision (2^-256) far below the remainder bound, so a tail without its
+    remainder term or with a wrong correction would miss it."""
+    from fstirling.eulersum import _enclose, _tail_start
+
+    bits = 256
+    for mode in EULER_MODES:
+        power = 2 * r if mode == "fzeta2r" else r
+        m = _tail_start(spec, power, 10 ** 6)
+        assert m == _tail_start(spec, r, 10 ** 6)
+        assert _tail_start(spec, power, m - 1) is None
+        for N in (m, m + 1, 500, 3000):
+            lo, hi, shift = _enclose(spec, power, N, bits, mode == "harmonic_over_f", m)
+            exact = euler_sum_numeric(spec, r, N, mode)
+            assert lo * exact.denominator <= exact.numerator << shift <= hi * exact.denominator
+            # Tight enough to decide over 35 decimal digits.
+            assert hi - lo < 1 << (shift - 120)
+
+
+@pytest.mark.parametrize("spec,power", [
+    (linear(1, 0), 1),                # the integral is a logarithm
+    (linear(-1, 40), 2),              # a <= 0
+    (poly(0, 1), 2),                  # not linear
+    (linear(1, -10 ** 6), 2),         # N stops before the tail starts
+])
+def test_the_euler_maclaurin_tail_only_where_it_applies(spec, power):
+    from fstirling.eulersum import _tail_start
+
+    assert _tail_start(spec, power, 1000) is None
+
+
+def test_euler_sum_floor_classic_sum_from_the_head_alone(monkeypatch):
+    from fstirling import eulersum
+
+    streamed = []
+    terms = eulersum._terms
+    monkeypatch.setattr(eulersum, "_terms", lambda spec, power, N: streamed.append(N)
+                        or terms(spec, power, N))
+    assert euler_sum_floor(linear(1, 0), 2, 100000, "harmonic_over_f", 10 ** 7) == 18940492
+    assert streamed == [31]
 
 
 # Each numeric spec comes with its own f(n), written here without the package's
