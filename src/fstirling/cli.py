@@ -16,8 +16,9 @@ here, at the boundary; an error inside the library is a program fault and
 exits with its traceback, never with 2.  The command process leaves through
 ``console_main``, without interpreter teardown.
 
-Only argument parsing is imported up front; each command imports the
-modules it runs, so a cheap command does not load the verification suites.
+Only argument parsing, the f parser and the report writer are imported up
+front; each command imports the modules it runs, so a cheap command does not
+load the verification suites.
 """
 
 from __future__ import annotations
@@ -26,28 +27,12 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 from .fspec import FSpecError, parse_fspec
-
-SUITES = [
-    "s1-oracle",
-    "s2-geom",
-    "s2star-ogf",
-    "s2star-egf",
-    "harmonic-routes",
-    "wf",
-    "corollary",
-    "prop1",
-    "prop2",
-    "euler-identity",
-    "convpoly-rec",
-    "gf-special",
-    "eulerian2",
-    "conv-shift",
-    "experimental-fit",
-    "euler-sum-numeric",
-]
-SLOWEST_SUITES = ("euler-sum-numeric", "harmonic-routes")
+from .laurent import LaurentPoly
+from .report import (Report, digits_unlimited, json_list_chunks, json_text, render_t,
+                     render_value)
 
 
 class UsageError(Exception):
@@ -97,8 +82,6 @@ def _emit(chunks, path: str | None):
 
 
 def _render_scalar(value, decimal: int | None) -> str:
-    from .laurent import LaurentPoly
-
     if isinstance(value, LaurentPoly) and value.is_constant():
         value = value.constant_value()
     if decimal is not None and isinstance(value, Fraction):
@@ -109,7 +92,6 @@ def _render_scalar(value, decimal: int | None) -> str:
 def cmd_triangle(args) -> int:
     from . import stirling
     from .factorial import check_config
-    from .report import digits_unlimited
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
@@ -128,7 +110,6 @@ def cmd_harmonic(args) -> int:
     from . import fharmonic
     from .cyclotomic import is_prime
     from .factorial import check_config
-    from .report import digits_unlimited
 
     if args.method == "subst" and args.t is not None:
         raise UsageError("--t does not apply to --method subst, which works at t = u^p")
@@ -156,7 +137,6 @@ def cmd_harmonic(args) -> int:
 def cmd_convpoly(args) -> int:
     from . import convpoly, stirling
     from .factorial import check_config
-    from .report import digits_unlimited, json_text, render_t, render_value
 
     if args.format == "json" and args.decimal is not None:
         raise UsageError("--decimal applies only to --format csv")
@@ -196,7 +176,6 @@ def cmd_convpoly(args) -> int:
 
 def cmd_eulersum(args) -> int:
     from . import eulersum
-    from .report import digits_unlimited
 
     spec = parse_fspec(args.f)
     if args.N < 1:
@@ -211,122 +190,134 @@ def cmd_eulersum(args) -> int:
     return 0
 
 
-def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
-    """Run one named suite; returns its reports (may skip inapplicable combos)."""
-    from . import convpoly, eulersum, fharmonic, stirling
-    from .factorial import check_config
-    from .laurent import LaurentPoly
-    from .report import Report
+# The suite bodies call these modules, which run_suite imports into this
+# module's namespace; building the parser loads none of them.
+SUITE_MODULES = ("convpoly", "eulersum", "fharmonic", "stirling")
 
-    tp = check_config(spec, t)
-    numeric_f = not spec.symbolic
-    symbolic_t = not tp.is_constant()
-    reports: list[Report] = []
 
-    def skip(reason: str) -> list[Report]:
-        rep = Report(name, {"f": spec.render(), "t": str(t)})
-        rep.skip((), reason)
-        return [rep]
+def _s1_oracle(spec, tp, n, *_):
+    tri = stirling.s1_triangle(spec, tp, n)
+    rep = Report("s1-oracle", {"f": spec.render(), "t": tp, "N": n})
+    for m in range(n + 1):
+        for k in range(m + 1):
+            rep.check((m, k), tri.entry(m, k), stirling.s1_entry_oracle(spec, tp, m, k))
+    return [rep]
 
-    if name == "s1-oracle":
-        cap = min(max_n, stirling.ORACLE_CAP - 3)
-        tri = stirling.s1_triangle(spec, tp, cap)
-        rep = Report("s1-oracle", {"f": spec.render(), "t": tp, "N": cap})
-        for n in range(cap + 1):
-            for k in range(n + 1):
-                rep.check((n, k), tri.entry(n, k), stirling.s1_entry_oracle(spec, tp, n, k))
-        reports.append(rep)
-    elif name == "s2-geom":
-        cap = min(max_n, 8)
-        coeffs = {(k, j): stirling.s2_diff_coeff(spec, tp, k, j)
-                  for k in range(6) for j in range(cap + 1)}
-        for n in range(cap + 1):
-            for k in range(6):
-                reports.append(stirling.s2_geom_transform_check(spec, tp, n, k, coeffs))
-    elif name == "s2star-ogf":
-        if not numeric_f:
-            return skip("modified-number transforms need numeric f values")
-        for k in range(5):
-            reports.append(stirling.s2star_ogf_check(spec, k, max_n))
-    elif name == "s2star-egf":
-        if not numeric_f:
-            return skip("modified-number transforms need numeric f values")
-        for r in range(5):
-            reports.append(stirling.s2star_egf_check(spec, r, min(max_n, 8)))
-    elif name == "harmonic-routes":
-        rep = Report("harmonic-routes", {"f": spec.render(), "t": tp, "max_n": max_n})
-        for n in range(min(max_n, 10) + 1):
-            for p in range(1, 6):
-                direct = fharmonic.fharmonic_direct(spec, p, n, tp ** p)
-                rep.check((n, p, "ftilde"), fharmonic.harmonic_via_ftilde(spec, tp, p, n), direct)
-                if p in (2, 3, 5):
-                    rep.check((n, p, "roots"), fharmonic.harmonic_via_roots(spec, tp, p, n), direct)
-            if numeric_f:
-                for p in range(1, 5):
-                    subst = fharmonic.harmonic_via_subst(spec, p, n)
-                    direct_u = fharmonic.fharmonic_direct(
-                        spec, p, n, LaurentPoly.monomial("u", p)
-                    )
-                    rep.check((n, p, "subst"), subst, direct_u)
-        reports.append(rep)
-    elif name == "wf":
-        reports.append(fharmonic.s1_from_wf_check(spec, tp, min(max_n, 10)))
-    elif name == "corollary":
-        reports.append(fharmonic.corollary_expansions_check(spec, tp, min(max_n, 10)))
-    elif name == "prop1":
-        if not numeric_f:
-            return skip("substitution parameter requires numeric f values")
-        for p in range(1, 4):
-            for n in range(min(max_n, 6) + 1):
-                reports.append(fharmonic.prop1_recurrence_check(spec, p, n))
-    elif name == "prop2":
-        for p in range(2, 7):
-            for n in range(min(max_n, 10) + 1):
-                reports.append(fharmonic.prop2_functional_eq_check(spec, tp, p, n))
-    elif name == "euler-identity":
-        for p in range(3, 7):
-            for n in range(1, 21):
-                reports.append(fharmonic.stirling_harmonic_identity_check(p, n))
-    elif name == "convpoly-rec":
-        reports.append(convpoly.sigma_recurrence_check(spec, tp, min(max_n, 10), min(max_n, 10)))
-    elif name == "gf-special":
-        reports.append(convpoly.stirlingpoly_gf_check("classic", 6, 8))
-        reports.append(convpoly.stirlingpoly_gf_check("alpha", 6, 8, alpha=3))
-        reports.append(convpoly.stirlingpoly_gf_check("alphabeta", 6, 8, alpha=2, beta=1))
-    elif name == "eulerian2":
-        reports.append(convpoly.eulerian2_identity_check(6, 12))
-    elif name == "conv-shift":
-        for t_shift in (0, 1, 2):
-            reports.append(convpoly.conv_family_shift_check([1, 1], t_shift, 5, 6))
-            stirling_s = convpoly.TruncSeries.exp("z", 1, 5) / convpoly.geometric_minus_one_over("z", 5)
-            reports.append(
-                convpoly.conv_family_shift_check(stirling_s.coeffs, t_shift, 5, 6)
-            )
-    elif name == "experimental-fit":
-        if not numeric_f or symbolic_t:
-            return skip("experimental fit requires numeric f and t")
-        reports.append(convpoly.experimental_binomial_check(spec, tp, min(max_n, 10)))
-    elif name == "euler-sum-numeric":
-        if not numeric_f:
-            return skip("numeric series require numeric f values")
-        if spec.kind == "table":
-            return skip("finite f table cannot support the series truncation")
-        N = 2000
-        z2, lhs = eulersum.fzeta_and_harmonic_sums(spec, 2, N)
-        z4 = eulersum.euler_sum_numeric(spec, 2, N, "fzeta2r")
-        rhs = (z2 * z2 + z4) / 2
-        rep = Report("euler-sum-numeric", {"f": spec.render(), "r": 2, "N": N})
-        cell = rep.check((2, N), lhs, rhs)
-        cell.note = f"partial sum {float(lhs):.7f} vs zeta-form {float(rhs):.7f}"
-        reports.append(rep)
-    else:
-        raise UsageError(f"unknown suite {name!r}")
+
+def _s2_geom(spec, tp, n, *_):
+    coeffs = {(k, j): stirling.s2_diff_coeff(spec, tp, k, j)
+              for k in range(6) for j in range(n + 1)}
+    return [stirling.s2_geom_transform_check(spec, tp, m, k, coeffs)
+            for m in range(n + 1) for k in range(6)]
+
+
+def _harmonic_routes(spec, tp, n, max_n):
+    rep = Report("harmonic-routes", {"f": spec.render(), "t": tp, "max_n": max_n})
+    for m in range(n + 1):
+        for p in range(1, 6):
+            direct = fharmonic.fharmonic_direct(spec, p, m, tp ** p)
+            rep.check((m, p, "ftilde"), fharmonic.harmonic_via_ftilde(spec, tp, p, m), direct)
+            if p in (2, 3, 5):
+                rep.check((m, p, "roots"), fharmonic.harmonic_via_roots(spec, tp, p, m), direct)
+        if not spec.symbolic:
+            for p in range(1, 5):
+                rep.check((m, p, "subst"), fharmonic.harmonic_via_subst(spec, p, m),
+                          fharmonic.fharmonic_direct(spec, p, m, LaurentPoly.monomial("u", p)))
+    return [rep]
+
+
+def _conv_shift(*_):
+    reports = []
+    for t_shift in (0, 1, 2):
+        stirling_s = (convpoly.TruncSeries.exp("z", 1, 5)
+                      / convpoly.geometric_minus_one_over("z", 5))
+        reports += [convpoly.conv_family_shift_check(coeffs, t_shift, 5, 6)
+                    for coeffs in ([1, 1], stirling_s.coeffs)]
     return reports
+
+
+def _euler_sum_numeric(spec, *_):
+    N = 2000
+    z2, lhs = eulersum.fzeta_and_harmonic_sums(spec, 2, N)
+    rhs = (z2 * z2 + eulersum.euler_sum_numeric(spec, 2, N, "fzeta2r")) / 2
+    rep = Report("euler-sum-numeric", {"f": spec.render(), "r": 2, "N": N})
+    # The digits `eulersum --decimal 7` prints: the sums can pass the float range.
+    with digits_unlimited():
+        note = f"partial sum {_render_scalar(lhs, 7)} vs zeta-form {_render_scalar(rhs, 7)}"
+    rep.check((2, N), lhs, rhs, note)
+    return [rep]
+
+
+NO_CAP = sys.maxsize
+_TRANSFORMS = ("numeric f", "modified-number transforms need numeric f values")
+# The verification suites, in `--suite all` order: name -> (cap, needs, body).
+# - cap: the suite runs to depth min(--max-n, cap); NO_CAP runs to --max-n
+#   itself, and None marks a suite of fixed depth, which ignores --max-n.
+# - needs: (configuration, note) pairs; a configuration that lacks one gets a
+#   single skip cell with its note instead.
+# - body(spec, tp, n, max_n) returns the reports at depth n, with max_n the
+#   --max-n as given.
+SUITE_TABLE = {
+    "s1-oracle": (12, (), _s1_oracle),  # brute force; stirling.ORACLE_CAP is 15
+    "s2-geom": (8, (), _s2_geom),
+    "s2star-ogf": (NO_CAP, (_TRANSFORMS,), lambda spec, tp, n, *_: [
+        stirling.s2star_ogf_check(spec, k, n) for k in range(5)]),
+    "s2star-egf": (8, (_TRANSFORMS,), lambda spec, tp, n, *_: [
+        stirling.s2star_egf_check(spec, r, n) for r in range(5)]),
+    "harmonic-routes": (10, (), _harmonic_routes),
+    "wf": (10, (), lambda spec, tp, n, *_: [fharmonic.s1_from_wf_check(spec, tp, n)]),
+    "corollary": (10, (), lambda spec, tp, n, *_: [
+        fharmonic.corollary_expansions_check(spec, tp, n)]),
+    "prop1": (6, (("numeric f", "substitution parameter requires numeric f values"),),
+              lambda spec, tp, n, *_: [
+                  fharmonic.prop1_recurrence_check(spec, p, m)
+                  for p in range(1, 4) for m in range(n + 1)]),
+    "prop2": (10, (), lambda spec, tp, n, *_: [
+        fharmonic.prop2_functional_eq_check(spec, tp, p, m)
+        for p in range(2, 7) for m in range(n + 1)]),
+    "euler-identity": (None, (), lambda *_: [
+        fharmonic.stirling_harmonic_identity_check(p, m)
+        for p in range(3, 7) for m in range(1, 21)]),
+    "convpoly-rec": (10, (), lambda spec, tp, n, *_: [
+        convpoly.sigma_recurrence_check(spec, tp, n, n)]),
+    "gf-special": (None, (), lambda *_: [
+        convpoly.stirlingpoly_gf_check("classic", 6, 8),
+        convpoly.stirlingpoly_gf_check("alpha", 6, 8, alpha=3),
+        convpoly.stirlingpoly_gf_check("alphabeta", 6, 8, alpha=2, beta=1)]),
+    "eulerian2": (None, (), lambda *_: [convpoly.eulerian2_identity_check(6, 12)]),
+    "conv-shift": (None, (), _conv_shift),
+    "experimental-fit": (10, (("numeric f and t", "experimental fit requires numeric f and t"),),
+                         lambda spec, tp, n, *_: [
+                             convpoly.experimental_binomial_check(spec, tp, n)]),
+    "euler-sum-numeric": (None, (
+        ("numeric f", "numeric series require numeric f values"),
+        ("f at every n", "finite f table cannot support the series truncation")),
+        _euler_sum_numeric),
+}
+SUITES = list(SUITE_TABLE)
+SLOWEST_SUITES = ("euler-sum-numeric", "harmonic-routes")
+
+
+def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
+    """The reports of suite ``name``, or one skip cell where it does not apply."""
+    from .factorial import check_config
+
+    for module in SUITE_MODULES:
+        globals()[module] = import_module(f".{module}", __package__)
+    tp = check_config(spec, t)
+    cap, needs, body = SUITE_TABLE[name]
+    has = {"numeric f": not spec.symbolic, "f at every n": spec.kind != "table",
+           "numeric f and t": not spec.symbolic and tp.is_constant()}
+    for need, note in needs:
+        if not has[need]:
+            rep = Report(name, {"f": spec.render(), "t": str(t)})
+            rep.skip((), note)
+            return [rep]
+    return body(spec, tp, max_n if cap is None else min(max_n, cap), max_n)
 
 
 def cmd_verify(args) -> int:
     from .factorial import check_config
-    from .report import digits_unlimited, json_list_chunks, json_text, render_value
 
     spec = parse_fspec(args.f)
     t = _parse_t(args.t)
@@ -428,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", required=True,
                    help="suite name or 'all': " + ", ".join(SUITES))
-    p.add_argument("--max-n", type=_nonnegative_int, default=8)
+    p.add_argument("--max-n", type=_nonnegative_int, default=8,
+                   help="depth of the checks (default 8); each suite caps it at its own "
+                        "default depth, and some run at a fixed depth")
     p.set_defaults(func=cmd_verify)
 
     return parser

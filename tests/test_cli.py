@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fstirling import fharmonic, stirling
+from fstirling import cli, fharmonic, stirling
 from fstirling.cli import main
-from fstirling.fspec import linear
+from fstirling.fspec import FSpecError, linear, parse_fspec
 from fstirling.report import digits_unlimited, render_value
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -467,3 +470,147 @@ def test_verify_loads_every_module_the_tracer_wraps():
     loaded = _modules_loaded_by(["verify", "--suite", "s1-oracle", "--f", "linear:1,0",
                                  "--max-n", "2"])
     assert _tracer_target_modules() - loaded == set()
+
+
+TABLE = "table:" + os.path.join(ROOT, "tests", "data", "table12.json")
+
+
+@pytest.mark.parametrize("f", ["qpow:1/3,0", "qpow:1/5,0"])
+def test_euler_sum_numeric_beyond_the_float_range(f, tmp_path, capsys):
+    # The sums pass 10^308; for qpow:1/5,0 their integer parts have 5600 digits.
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["verify", "--suite", "euler-sum-numeric", "--f", f, "--t", "1",
+                              "--output", str(report)], capsys)
+    assert (code, out, err) == (0, "pass  euler-sum-numeric    (1 cells)\n", "")
+    assert json.loads(report.read_text())[0]["cells"][0]["note"].startswith("partial sum ")
+
+
+def test_euler_sum_numeric_note_is_the_eulersum_decimal_digits(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    run_cli(["verify", "--suite", "euler-sum-numeric", "--f", "linear:2,1",
+             "--output", str(report)], capsys)
+    note = json.loads(report.read_text())[0]["cells"][0]["note"]
+    code, digits, _ = run_cli(["eulersum", "--f", "linear:2,1", "--r", "2", "--N", "2000",
+                               "--decimal", "7"], capsys)
+    assert (code, digits) == (0, "0.0346177\n")
+    assert note == f"partial sum {digits.strip()} vs zeta-form {digits.strip()}"
+
+
+@pytest.mark.parametrize("suite,f,t,note", [
+    ("s2star-ogf", "qpow:1", "3/2", "modified-number transforms need numeric f values"),
+    ("s2star-egf", "qpow:1", "3/2", "modified-number transforms need numeric f values"),
+    ("prop1", "qpow:1", "3/2", "substitution parameter requires numeric f values"),
+    ("experimental-fit", "qpow:1", "3/2", "experimental fit requires numeric f and t"),
+    ("euler-sum-numeric", "qpow:1", "3/2", "numeric series require numeric f values"),
+    ("euler-sum-numeric", TABLE, "1", "finite f table cannot support the series truncation"),
+    ("experimental-fit", "linear:2,1", "symbolic", "experimental fit requires numeric f and t"),
+])
+def test_a_suite_that_does_not_apply_writes_one_skip_cell(suite, f, t, note):
+    spec, t_arg = parse_fspec(f), cli._parse_t(t)
+    reports = cli.run_suite(suite, spec, t_arg, 8)
+    assert [r.to_json() for r in reports] == [{
+        "identity": suite,
+        # t as given: "t" for symbolic, never the normalized LaurentPoly
+        "params": {"f": spec.render(), "t": "t" if t == "symbolic" else t},
+        "pass": True,
+        "cells": [{"indices": [], "lhs": "None", "rhs": "None", "residual": None,
+                   "pass": True, "note": note}],
+    }]
+
+
+def test_each_suite_runs_to_the_depth_of_its_table_entry():
+    spec, t = linear(2, 1), Fraction(3, 2)
+
+    def cells(name, max_n):
+        with digits_unlimited():
+            return [c.to_json() for r in cli.run_suite(name, spec, t, max_n) for c in r.cells]
+
+    for name, (cap, _, _) in cli.SUITE_TABLE.items():
+        if cap is None:  # a fixed depth of its own
+            assert cells(name, 0) == cells(name, 8), name
+        elif cap == cli.NO_CAP:  # runs to --max-n itself, past every cap
+            assert len(cells(name, 12)) < len(cells(name, 15)), name
+        else:
+            assert cells(name, cap) == cells(name, cap + 3), name
+            assert len(cells(name, cap - 1)) < len(cells(name, cap)), name
+    # harmonic-routes records --max-n as given, s1-oracle the depth it ran to.
+    assert cli.run_suite("harmonic-routes", spec, t, 13)[0].params["max_n"] == 13
+    assert cli.run_suite("s1-oracle", spec, t, 15)[0].params["N"] == 12
+
+
+# Random configurations: f is linear, poly of degree <= 2, a 20-entry table, or
+# q-power with a numeric base or symbolic; t is a nonzero rational or symbolic.
+RATIO = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+F_DRAWS = st.one_of(
+    st.tuples(st.just("linear"), st.tuples(RATIO, RATIO)),
+    st.tuples(st.just("poly"), st.lists(RATIO, min_size=1, max_size=3).map(tuple)),
+    st.tuples(st.just("table"), st.lists(RATIO, min_size=20, max_size=20).map(tuple)),
+    st.tuples(st.just("qpow"), st.tuples(RATIO, st.integers(-2, 2))),
+    st.tuples(st.just("qpow"), st.tuples(st.integers(-2, 2))),
+)
+T_DRAWS = st.one_of(RATIO.filter(bool), st.just("symbolic"))
+
+
+def _f_text(kind, params, table_path):
+    if kind == "table":
+        with open(table_path, "w") as fh:
+            json.dump([str(v) for v in params], fh)
+        return f"table:{table_path}"
+    return f"{kind}:" + ",".join(map(str, params))
+
+
+def _rejects(kind, params, t) -> bool:
+    """Whether f takes the value 0 (or 0 to a negative power) at some n <= 2000,
+    or the configuration has two formal variables: the two FSpecErrors."""
+    if kind == "qpow":
+        return params[0] == 0 if len(params) == 2 else t == "symbolic"
+    if kind == "table":
+        return 0 in params
+    coeffs = params[::-1] if kind == "linear" else params
+    return any(not sum(c * n ** i for i, c in enumerate(coeffs)) for n in range(1, 2001))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(F_DRAWS, T_DRAWS)
+# Sums past the float range once crashed the euler-sum-numeric note.
+@example(("qpow", (Fraction(1, 3), 0)), Fraction(1))
+def test_random_configurations_fail_only_the_as_printed_prop1_cells(f, t):
+    kind, params = f
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            spec = parse_fspec(_f_text(kind, params, os.path.join(tmp, "f.json")))
+            t_arg = cli._parse_t(str(t))
+            reports = [r for name in cli.SUITES for r in cli.run_suite(name, spec, t_arg, 4)]
+        except FSpecError as exc:
+            assert _rejects(kind, params, t), exc
+            return
+    failing = {(r.identity, c.indices) for r in reports for c in r.failures}
+    assert all(identity == "prop1-recurrence" and "as-printed" in indices
+               for identity, indices in failing), failing
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(F_DRAWS, T_DRAWS)
+def test_random_configurations_exit_0_1_or_2(f, t):
+    kind, params = f
+    with tempfile.TemporaryDirectory() as tmp:
+        f_text = _f_text(kind, params, os.path.join(tmp, "f.json"))
+        # `--t=-2/5`: argparse takes a separate "-2/5" for an option
+        code = main(["verify", "--suite", "all", "--f", f_text, f"--t={t}", "--max-n", "4"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == _rejects(kind, params, t)
+
+
+def test_the_readme_suite_table_is_the_code_table():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        rows = [line.split(" | ") for line in fh if line.startswith("| `")]
+    # "| `s1-oracle`" -> "s1-oracle"; the f-spec table's rows name no suite.
+    documented = {row[0][3:-1]: row[1] for row in rows if row[0][3:-1] in cli.SUITE_TABLE}
+
+    def depth(cap):
+        return ("fixed" if cap is None else "`--max-n`, no cap" if cap == cli.NO_CAP
+                else f"`--max-n`, at most {cap}")
+
+    assert list(documented) == cli.SUITES
+    assert all(documented[name].startswith(depth(cap))
+               for name, (cap, _, _) in cli.SUITE_TABLE.items())
