@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import import_module
@@ -49,6 +50,18 @@ def _parse_t(text: str):
     if not value:
         raise UsageError("t must be nonzero")
     return value
+
+
+def _join_negative_t(argv) -> list:
+    """``--t -2/5`` as ``--t=-2/5``: argparse takes an argument that starts
+    with '-' for an option unless it is a plain negative integer or decimal."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--t" and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _fixed_str(whole: int, digits: int) -> str:
@@ -108,7 +121,6 @@ def cmd_triangle(args) -> int:
 
 def cmd_harmonic(args) -> int:
     from . import fharmonic
-    from .cyclotomic import is_prime
     from .factorial import check_config
 
     if args.method == "subst" and args.t is not None:
@@ -116,8 +128,6 @@ def cmd_harmonic(args) -> int:
     spec = parse_fspec(args.f)
     t = _parse_t("1" if args.t is None else args.t)
     tp = check_config(spec, t)
-    if args.method == "roots" and not is_prime(args.p):
-        raise UsageError(f"root-of-unity route requires prime p, got {args.p}")
     if args.p < 1:
         raise UsageError("order p must be >= 1")
     if args.method == "direct":
@@ -430,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_t(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # Only the process that is the command forks; an in-process caller, such

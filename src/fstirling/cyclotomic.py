@@ -1,18 +1,16 @@
-"""Arithmetic in Z[zeta_p] for prime p, with rational or Laurent-polynomial
-coordinates.
+"""The packed products of the two generating-function harmonic routes, at
+every order p, and arithmetic in Z[zeta_p] for prime p.
 
-Elements are represented on the power basis 1, zeta, ..., zeta^(p-2) and
-reduced modulo 1 + zeta + ... + zeta^(p-1) = 0.  Restricting to prime p keeps
-the reduction step trivial.
-
-``twisted_product_coeff`` is the root-of-unity harmonic route's product: it
-works on plain ints, with each Laurent coefficient packed into one int.
+``twisted_product_coeff`` (root-of-unity route) and ``power_coeffs`` (row
+polynomial route) run on plain ints, one packed int per Laurent coefficient.
+``CyclotomicElem``, the reference ring, works on the power basis 1, zeta, ...,
+zeta^(p-2) modulo 1 + zeta + ... + zeta^(p-1) = 0, so its p must be prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .laurent import LaurentPoly, _make, _pack, _unpack
 
@@ -127,57 +125,82 @@ class CyclotomicElem:
         return f"CyclotomicElem(p={self.p}, {self.coords})"
 
 
-def twisted_product_coeff(p: int, entries) -> LaurentPoly:
-    """[w^(2p)] prod_{m<p} sum_k entries[k] zeta_p^(m(k-1)) w^k for prime p.
+def _pack_entries(entries, factors: int):
+    """``[(k, packed entries[k])]`` over the nonzero LaurentPoly entries (one
+    variable t), and ``read(value, r)``: the LaurentPoly of a packed product
+    of r <= ``factors`` of them.
 
-    Replacing zeta by zeta^j permutes the factors, so the coefficient is
-    rational and is returned as a LaurentPoly; a nonzero zeta-coordinate
-    raises ValueError.  The entries are LaurentPoly values in one variable t.
-
-    They are written t^L a_k(t) / D over a common denominator D and lowest
-    exponent L, and each integer polynomial a_k is packed into one int.  Each
-    factor has L1 norm S = sum_k ||a_k||_1 over (t, zeta, w), so every partial
-    product, and the difference of two of its coordinates, has coefficients of
-    at most S^p: a slot holding S^p and a sign never overflows.  The product is
-    taken in Z[t][zeta]/(zeta^p - 1) on a grid indexed by (w-degree,
-    zeta-exponent), keeping only the w-degrees that can still reach 2p, and
-    reduced modulo 1 + zeta + ... + zeta^(p-1) at the end.
+    The entries are written t^L a_k(t) / D over a common denominator D and
+    lowest exponent L, and each integer polynomial a_k is packed into one int.
+    With S = sum_k ||a_k||_1, a product of r entries, each times a root of
+    unity, has t-coefficients of at most S^r <= S^factors: a slot holding
+    S^factors and a sign never overflows.
     """
-    if not is_prime(p):
-        raise ValueError(f"cyclotomic order must be prime, got {p}")
-    order = 2 * p
-    terms = [(k, e) for k, e in enumerate(entries[:order + 1]) if e.num]
-    if not terms:
-        return LaurentPoly.constant("t", 0)
+    terms = [(k, e) for k, e in enumerate(entries) if e.num]
     var = next((e.var for _, e in terms if not e.is_constant()), "t")
     den = lcm(*(e.den for _, e in terms))
-    lo = min(e.lo for _, e in terms)
+    lo = min((e.lo for _, e in terms), default=0)
     polys = [(k, [0] * (e.lo - lo) + [c * (den // e.den) for c in e.num]) for k, e in terms]
-    slots = p * max(len(a) for _, a in polys) - p + 1
-    bound = sum(abs(c) for _, a in polys for c in a) ** p
-    width = (bound.bit_length() + 8) // 8
-    packed = [(k, _pack(a, width)) for k, a in polys]
-    kmin, kmax = packed[0][0], packed[-1][0]
+    length = max((len(a) for _, a in polys), default=1)
+    width = (sum(abs(c) for _, a in polys for c in a) ** factors).bit_length() // 8 + 1
 
-    cells = {0: [1] + [0] * (p - 1)}  # w-degree -> packed coefficient per zeta^r
-    for m in range(p):
-        rest = p - 1 - m
-        top, bottom = order - rest * kmin, order - rest * kmax
-        grown = {}
-        for d, row in cells.items():
-            for k, a in packed:
-                if not bottom <= d + k <= top:
-                    continue
-                out = grown.setdefault(d + k, [0] * p)
-                shift = m * (k - 1)
+    def read(value: int, r: int) -> LaurentPoly:
+        return _make(var, r * lo, _unpack(value, width, r * (length - 1) + 1), den ** r)
+
+    return [(k, _pack(a, width)) for k, a in polys], read
+
+
+def _grow(cells: dict, packed, ring: int, twist: int, bottom: int, top: int) -> dict:
+    """The grid ``cells`` ({w-degree: [packed coefficient of x^r, r < ring]}
+    in Z[t][x]/(x^ring - 1)) times sum_k a_k x^(twist (k-1)) w^k, keeping the
+    w-degrees in [bottom, top]."""
+    grown = {}
+    for d, row in cells.items():
+        for k, a in packed:
+            if bottom <= d + k <= top:
+                out = grown.setdefault(d + k, [0] * ring)
+                shift = twist * (k - 1)
                 for r, x in enumerate(row):
                     if x:
-                        out[(r + shift) % p] += x * a
-        cells = grown
+                        out[(r + shift) % ring] += x * a
+    return grown
 
+
+def _mobius(n: int) -> int:
+    """mu(n), from sum_{d|n} mu(d) = [n = 1]."""
+    return 1 if n == 1 else -sum(_mobius(d) for d in range(1, n) if n % d == 0)
+
+
+def twisted_product_coeff(p: int, entries) -> LaurentPoly:
+    """[w^(2p)] prod_{m<p} sum_k entries[k] zeta^(m(k-1)) w^k, zeta a primitive
+    p-th root of unity, any p >= 1, as a LaurentPoly in the entries' variable.
+
+    The product is taken on a grid indexed by (w-degree, x-exponent) in
+    Z[t][x]/(x^p - 1), keeping only the w-degrees that can still reach 2p.
+    For every unit j mod p, x -> x^j permutes the factors, so the coordinate
+    of x^r depends only on gcd(r, p) (else ValueError).  The primitive p-th
+    roots of unity sum to mu(p), so the value at x = zeta is
+    sum_{d|p} mu(p/d) coords[d mod p]: coords[0] - coords[p-1] for prime p.
+    """
+    order = 2 * p
+    packed, read = _pack_entries(entries[:order + 1], p)
+    ks = [k for k, _ in packed] or [0]
+    cells = {0: [1] + [0] * (p - 1)}
+    for m in range(p):
+        rest = p - 1 - m
+        cells = _grow(cells, packed, p, m, order - rest * ks[-1], order - rest * ks[0])
     coords = cells.get(order, [0] * p)
-    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)): coordinate r becomes
-    # coords[r] - coords[p-1], which must vanish for every r >= 1.
-    if any(c != coords[-1] for c in coords[1:]):
-        raise ValueError(f"product has nonzero zeta-coordinates at order {p}")
-    return _make(var, p * lo, _unpack(coords[0] - coords[-1], width, slots), den ** p)
+    if any(coords[r] != coords[gcd(r, p) % p] for r in range(p)):
+        raise ValueError(f"product coordinates are not Galois invariant at order {p}")
+    return read(sum(_mobius(p // d) * coords[d % p] for d in range(1, p + 1) if p % d == 0), p)
+
+
+def power_coeffs(p: int, entries) -> list:
+    """[w^(p-r)] g^r for r = 1..p, g = sum_k entries[k] w^k: the untwisted grid
+    (ring Z[t]) over the same packing, cut at w-degree p - r."""
+    packed, read = _pack_entries(entries[:p], p)
+    cells, out = {0: [1]}, []
+    for r in range(1, p + 1):
+        cells = _grow(cells, packed, 1, 0, 0, p - r)
+        out.append(read(cells.get(p - r, [0])[0], r))
+    return out

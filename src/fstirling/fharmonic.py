@@ -13,14 +13,13 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
-from .cyclotomic import is_prime, twisted_product_coeff
+from .cyclotomic import power_coeffs, twisted_product_coeff
 # Re-exported: the benchmark tracer times the kernel under this module's name.
 from .eulersum import euler_sum_numeric
 from .factorial import TParam, bang_f, bang_ft, check_config
 from .fspec import FSpec, eval_f
 from .laurent import LaurentPoly
 from .report import Report
-from .series import TruncSeries
 from .stirling import s1_triangle
 
 
@@ -47,68 +46,54 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     return sums[n]
 
 
-def ftilde_series(spec: FSpec, t: TParam, n: int, order: int) -> TruncSeries:
-    """Row generating polynomial sum_{k=2}^{n+1} entry(n+1, k) w^k as a
-    truncated series in w of the given order."""
-    tri = s1_triangle(spec, t, n + 1)
-    coeffs = [LaurentPoly.constant("t", 0)] * (order + 1)
-    for k in range(2, min(n + 1, order) + 1):
-        coeffs[k] = tri.entry(n + 1, k)
-    return TruncSeries("w", order, coeffs)
-
-
-def harmonic_via_ftilde(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
-    """Generate sum_{k<=n} t^(pk)/f(k)^p from powers of the row polynomial:
-
-        t^(p n(n+1)/2) / (n!_f)^p *
-            [w^(2p)] sum_{j<p} (-1)^j w^j (p/(p-j)) entry(n+1,1)^j ftilde^(p-j)
-    """
+def _row_and_scale(spec: FSpec, t: TParam, p: int, n: int) -> Tuple[list, LaurentPoly]:
+    """The generating-function routes' inputs: entry(n+1, k) for k <= 2p, and
+    their common factor t^(p n(n+1)/2) / (n!_f)^p."""
     if p < 1:
         raise ValueError("order p must be >= 1")
     tp = check_config(spec, t)
     tri = s1_triangle(spec, tp, n + 1)
-    b1 = tri.entry(n + 1, 1)
-    ft = ftilde_series(spec, tp, n, order=2 * p)
-    powers = [ft]  # powers[r - 1] = ftilde^r
-    for _ in range(p - 1):
-        powers.append(powers[-1] * ft)
+    return ([tri.entry(n + 1, k) for k in range(min(n + 1, 2 * p) + 1)],
+            tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p)
+
+
+def harmonic_via_ftilde(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
+    """Generate sum_{k<=n} t^(pk)/f(k)^p from powers of the row polynomial
+    ftilde = sum_{k>=2} entry(n+1, k) w^k = w^2 g:
+
+        t^(p n(n+1)/2) / (n!_f)^p *
+            [w^(2p)] sum_{j<p} (-1)^j w^j (p/(p-j)) entry(n+1,1)^j ftilde^(p-j)
+
+    where [w^(2p-j)] ftilde^(p-j) = [w^j] g^(p-j) comes from ``power_coeffs``.
+    """
+    row, scale = _row_and_scale(spec, t, p, n)
+    inner = power_coeffs(p, row[2:])
     acc = LaurentPoly.constant("t", 0)
     for j in range(p):
-        inner = powers[p - j - 1].coeff(2 * p - j)
-        acc = acc + inner * b1 ** j * Fraction((-1) ** j * p, p - j)
-    scale = tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p
+        acc = acc + inner[p - j - 1] * row[1] ** j * Fraction((-1) ** j * p, p - j)
     return scale * acc
 
 
 def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     """Generate sum_{k<=n} t^(pk)/f(k)^p from the p-fold product of
-    root-of-unity-twisted row polynomials (prime p only):
+    root-of-unity-twisted row polynomials, zeta a primitive p-th root:
 
         t^(p n(n+1)/2)/(n!_f)^p *
-            [w^(2p)] (-1)^(p+1) prod_m sum_k entry(n+1,k) zeta_p^(m(k-1)) w^k
+            [w^(2p)] (-1)^(p+1) prod_m sum_k entry(n+1,k) zeta^(m(k-1)) w^k
     """
-    if not is_prime(p):
-        raise ValueError(f"root-of-unity route requires prime p, got {p}")
-    tp = check_config(spec, t)
-    tri = s1_triangle(spec, tp, n + 1)
-    entries = [tri.entry(n + 1, k) for k in range(min(n + 1, 2 * p) + 1)]
-    scale = tp ** (p * n * (n + 1) // 2) / bang_f(spec, n) ** p
-    return scale * twisted_product_coeff(p, entries) * Fraction((-1) ** (p + 1))
+    row, scale = _row_and_scale(spec, t, p, n)
+    return scale * twisted_product_coeff(p, row) * Fraction((-1) ** (p + 1))
 
 
 def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:
     """Generate sum_{k<=n} t^k/f(k)^p with t = u^p via a triangle built at the
-    substitution parameter u (so fractional powers of t never appear).
+    substitution parameter u (so fractional powers of t never appear), by the
+    root-of-unity route.
 
     The result is a Laurent polynomial in u; the harmonic-routes suite
     compares it with the direct sum at t = u^p.
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
-    up = check_config(spec, "u")
-    if is_prime(p) and p <= 5:
-        return harmonic_via_roots(spec, up, p, n)
-    return harmonic_via_ftilde(spec, up, p, n)
+    return harmonic_via_roots(spec, check_config(spec, "u"), p, n)
 
 
 # -- weighted sums ---------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with exact rational coefficients.
 
-Coefficients may be rationals or LaurentPoly values; anything supporting
-ring arithmetic with int works.  The truncation order is
-explicit: reading a coefficient beyond it is an error, never a silent zero,
-and arithmetic propagates the minimum order of the operands.
+A series is a LaurentPoly in its variable cut to the truncation order.  The
+order is explicit: reading a coefficient beyond it is an error, never a
+silent zero, and arithmetic propagates the minimum order of the operands.  A
+product is one LaurentPoly product (packed, see ``laurent``) cut to the
+order.
 """
 
 from __future__ import annotations
@@ -12,22 +13,31 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .laurent import LaurentPoly, _make
+
+
+def _cut(var: str, order: int, poly: LaurentPoly) -> "TruncSeries":
+    """The series poly + O(var^(order+1)); ``poly`` has no negative exponent."""
+    s = object.__new__(TruncSeries)
+    keep = max(order + 1 - poly.lo, 0)
+    s.var, s.order = var, order
+    s.poly = poly if len(poly.num) <= keep else _make(var, poly.lo, poly.num[:keep], poly.den)
+    return s
+
 
 class TruncSeries:
     """Series sum_{k=0}^{order} coeffs[k] * var^k + O(var^(order+1))."""
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("var", "order", "poly")
 
     def __init__(self, var: str, order: int, coeffs: Sequence):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        coeffs = list(coeffs)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         self.var = var
         self.order = order
-        self.coeffs = coeffs
+        self.poly = LaurentPoly(var, dict(enumerate(coeffs)))
 
     @classmethod
     def constant(cls, var: str, value, order: int) -> "TruncSeries":
@@ -40,15 +50,15 @@ class TruncSeries:
     @classmethod
     def exp(cls, var: str, rate, order: int) -> "TruncSeries":
         """exp(rate * var) truncated: coefficients rate^n / n!."""
-        rate = Fraction(rate) if not isinstance(rate, Fraction) else rate
-        coeffs = []
-        c = Fraction(1)
-        for n in range(order + 1):
-            coeffs.append(c)
-            c = c * rate / (n + 1)
-        return cls(var, order, coeffs)
+        rate = Fraction(rate)
+        return cls(var, order, [rate ** n / math.factorial(n) for n in range(order + 1)])
 
     # -- access ------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients of var^0 .. var^order, as Fractions."""
+        return [self.poly.coeff(k) for k in range(self.order + 1)]
 
     def coeff(self, k: int):
         if k < 0:
@@ -57,36 +67,30 @@ class TruncSeries:
             raise IndexError(
                 f"coefficient {k} is beyond the truncation order {self.order}"
             )
-        return self.coeffs[k]
+        return self.poly.coeff(k)
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.var, order, self.coeffs[: order + 1])
-
-    def _check(self, other: "TruncSeries"):
-        if self.var != other.var:
-            raise ValueError(f"series variable mismatch: {self.var!r} vs {other.var!r}")
+        return _cut(self.var, order, self.poly)
 
     def _coerce(self, other) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
-            self._check(other)
-            return other
-        return TruncSeries.constant(self.var, other, self.order)
+        if not isinstance(other, TruncSeries):
+            return TruncSeries.constant(self.var, other, self.order)
+        if self.var != other.var:
+            raise ValueError(f"series variable mismatch: {self.var!r} vs {other.var!r}")
+        return other
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "TruncSeries":
         other = self._coerce(other)
-        n = min(self.order, other.order)
-        return TruncSeries(
-            self.var, n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-        )
+        return _cut(self.var, min(self.order, other.order), self.poly + other.poly)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
+        return _cut(self.var, self.order, -self.poly)
 
     def __sub__(self, other) -> "TruncSeries":
         return self + (-self._coerce(other))
@@ -95,18 +99,8 @@ class TruncSeries:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
-        self._check(other)
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.var, n, out)
+        other = self._coerce(other)
+        return _cut(self.var, min(self.order, other.order), self.poly * other.poly)
 
     __rmul__ = __mul__
 
@@ -125,57 +119,40 @@ class TruncSeries:
             base = base * base
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a nonzero rational."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        inv0 = Fraction(1) / Fraction(c0)
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return TruncSeries(self.var, self.order, out)
+        """Multiplicative inverse, by Newton's iteration u -> u (2 - self u),
+        which doubles the number of correct coefficients; the constant term
+        must be nonzero."""
+        inv = TruncSeries.constant(self.var, 1 / self.coeff(0), self.order)
+        for _ in range(self.order.bit_length()):
+            inv = inv * (2 - self * inv)
+        return inv
 
     def __truediv__(self, other) -> "TruncSeries":
         """Exact division; shared leading zeros are cancelled first."""
         other = self._coerce(other)
         n = min(self.order, other.order)
-        a = self.truncate(n)
-        b = other.truncate(n)
-        shift = 0
-        while (
-            shift <= n
-            and not a.coeffs[shift]
-            and not b.coeffs[shift]
-        ):
-            shift += 1
-        if shift:
-            a = TruncSeries(self.var, n - shift, a.coeffs[shift:])
-            b = TruncSeries(self.var, n - shift, b.coeffs[shift:])
-        return a * b.inverse()
+        a, b = self.coeffs[:n + 1], other.coeffs[:n + 1]
+        shift = next((i for i in range(n + 1) if a[i] or b[i]), n + 1)
+        return (TruncSeries(self.var, n - shift, a[shift:])
+                * TruncSeries(self.var, n - shift, b[shift:]).inverse())
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner); the inner series must have zero constant term."""
-        self._check(inner)
-        if inner.coeffs[0]:
+        inner = self._coerce(inner)
+        if inner.coeff(0):
             raise ValueError("composition requires zero inner constant term")
         n = min(self.order, inner.order)
-        result = TruncSeries.constant(self.var, Fraction(0), n)
+        inner = inner.truncate(n)
+        result = TruncSeries.constant(self.var, 0, n)
         # Horner evaluation, highest coefficient first.
         for k in range(n, -1, -1):
-            result = result * inner.truncate(n) + self.coeffs[k]
+            result = result * inner + self.coeff(k)
         return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.var == other.var and self.order == other.order and self.poly == other.poly
 
     def __repr__(self):
         return f"TruncSeries({self.var!r}, order={self.order}, {self.coeffs})"

@@ -99,8 +99,7 @@ def test_criterion_05_harmonic_routes(announce):
             for p in range(1, 6):
                 direct = fharmonic.fharmonic_direct(spec, p, n, tp ** p)
                 assert fharmonic.harmonic_via_ftilde(spec, tp, p, n) == direct
-                if p in (2, 3, 5):
-                    assert fharmonic.harmonic_via_roots(spec, tp, p, n) == direct
+                assert fharmonic.harmonic_via_roots(spec, tp, p, n) == direct
         if not spec.symbolic:
             for n in range(11):
                 for p in range(1, 5):

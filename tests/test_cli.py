@@ -136,6 +136,24 @@ def test_harmonic_t_defaults_to_one_and_subst_works_at_u(capsys):
         0, "1/9*u^2 + 1/25*u^4 + 1/49*u^6\n", "")
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_roots_route_at_composite_order(p, capsys):
+    base = ["harmonic", "--f", "linear:2,1", "--t", "3/2", "--p", str(p), "--n", "5"]
+    direct = run_cli(base + ["--method", "direct"], capsys)
+    assert direct[0] == 0
+    assert run_cli(base + ["--method", "roots"], capsys) == direct
+
+
+def test_negative_fraction_after_t_is_its_value(capsys):
+    base = ["triangle", "--f", "linear:1,0", "--rows", "2"]
+    code, out, err = run_cli(base + ["--t", "-2/5"], capsys)
+    assert (code, err) == (0, "")
+    assert run_cli(base + ["--t=-2/5"], capsys) == (0, out, "")
+    code, out, err = run_cli(["triangle", "--f", "linear:1,0", "--t", "--rows", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --t: expected one argument" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["triangle", "--f", "linear:2,1", "--t", "symbolic", "--rows", "8", "--format", "json"],
     ["triangle", "--kind", "s2", "--f", "linear:2,1", "--t", "3/2", "--rows", "6",
@@ -279,15 +297,14 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["triangle", "--f", "linear:1,0", "--t", "0", "--rows", "3"], "t must be nonzero"),
     (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], "order p must be >= 1"),
-    (["harmonic", "--f", "linear:1,0", "--p", "4", "--n", "3", "--method", "roots"],
-     "root-of-unity route requires prime p, got 4"),
+    (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3", "--method", "roots"],
+     "order p must be >= 1"),
     (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "0"], "N must be >= 1"),
     (["convpoly", "--f", "linear:2,1", "--n-max", "1", "--x-max", "3", "--format", "json",
       "--decimal", "4"], "--decimal applies only to --format csv"),
     (["harmonic", "--f", "linear:2,1", "--p", "2", "--n", "3", "--method", "subst",
       "--t", "1"], "--t does not apply to --method subst, which works at t = u^p"),
-], ids=["t-zero", "harmonic-p", "roots-non-prime", "eulersum-N", "convpoly-json-decimal",
-        "subst-t"])
+], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal", "subst-t"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -457,9 +474,11 @@ def _tracer_target_modules():
     (["triangle", "--f", "linear:1,0", "--rows", "0"],
      {"fstirling.fharmonic", "fstirling.convpoly", "fstirling.cyclotomic",
       "fstirling.pool"}),
+    (["harmonic", "--f", "linear:2,1", "--t", "3/2", "--p", "4", "--n", "5", "--method", "ftilde"],
+     {"fstirling.series", "fstirling.convpoly", "fstirling.pool"}),
     # One suite never forks, so it does not load the worker pool.
     (["verify", "--suite", "euler-sum-numeric", "--f", "linear:2,1"], {"fstirling.pool"}),
-], ids=["eulersum", "triangle", "verify-one-suite"])
+], ids=["eulersum", "triangle", "harmonic-ftilde", "verify-one-suite"])
 def test_a_command_loads_only_the_modules_it_runs(argv, absent):
     loaded = _modules_loaded_by(argv)
     assert "fstirling.cli" in loaded

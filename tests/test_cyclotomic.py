@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic: reduction, rationality of norms, root-of-unity sums,
-and the packed root-of-unity product against a CyclotomicElem reference."""
+and the packed root-of-unity product against a CyclotomicElem reference at
+prime p and a reference modulo Phi_p at composite p."""
 
 import os
 from fractions import Fraction
@@ -13,7 +14,6 @@ from fstirling.factorial import bang_f, check_config
 from fstirling.fharmonic import harmonic_via_roots
 from fstirling.fspec import linear, parse_fspec, poly, qpow
 from fstirling.laurent import LaurentPoly
-from fstirling.series import TruncSeries
 from fstirling.stirling import s1_triangle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -95,17 +95,65 @@ def test_truth_value_is_any_nonzero_coordinate():
 
 
 def reference_product(p, entries):
-    """[w^(2p)] prod_m sum_k entries[k] zeta^(m(k-1)) w^k by CyclotomicElem
-    coefficients in a TruncSeries: the route's product before it was packed."""
+    """[w^(2p)] prod_m sum_k entries[k] zeta^(m(k-1)) w^k for prime p, by a
+    schoolbook product of CyclotomicElem coefficient lists cut at w^(2p): the
+    route's product before it was packed."""
     order = 2 * p
-    prod = None
+    zero = CyclotomicElem.scalar(p, Fraction(0))
+    prod = [CyclotomicElem.scalar(p, Fraction(1))] + [zero] * order
     for m in range(p):
-        coeffs = [CyclotomicElem.zeta_pow(p, m * (k - 1)).scale(e)
+        factor = [CyclotomicElem.zeta_pow(p, m * (k - 1)).scale(e)
                   for k, e in enumerate(entries[:order + 1])]
-        factor = TruncSeries("w", order, coeffs)
-        prod = factor if prod is None else prod * factor
-    top = prod.coeff(order)
-    return top.rational_part() if isinstance(top, CyclotomicElem) else top
+        grown = [zero] * (order + 1)
+        for i, a in enumerate(prod):
+            for k, b in enumerate(factor[:order + 1 - i]):
+                if a and b:
+                    grown[i + k] = grown[i + k] + a * b
+        prod = grown
+    return prod[order].rational_part()
+
+
+def monic_divmod(num, den):
+    """Quotient and remainder of the coefficient list ``num`` by the monic
+    integer list ``den``, lowest degree first."""
+    num, deg = list(num), len(den) - 1
+    quot = [0] * max(len(num) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = c = num[i + deg]
+        if c:
+            for j, d in enumerate(den):
+                num[i + j] = num[i + j] - c * d
+    return quot, num[:deg]
+
+
+def cyclotomic_polynomial(p):
+    """Phi_p: x^p - 1 divided by Phi_d for every proper divisor d of p."""
+    num = [-1] + [0] * (p - 1) + [1]
+    for d in range(1, p):
+        if p % d == 0:
+            num = monic_divmod(num, cyclotomic_polynomial(d))[0]
+    return num
+
+
+def phi_reference(p, entries):
+    """[w^(2p)] prod_m sum_k entries[k] x^(m(k-1)) w^k in Q(t)[x]/Phi_p(x), any
+    p: a schoolbook product of lists of x-coefficient lists, cut at w^(2p)."""
+    phi, order = cyclotomic_polynomial(p), 2 * p
+    prod = [[1]] + [[]] * order
+    for m in range(p):
+        grown = [[] for _ in range(order + 1)]
+        for i, a in enumerate(prod):
+            for k, e in enumerate(entries[:order + 1 - i]):
+                if not (a and e):
+                    continue
+                term, out = [0] * (m * (k - 1) % p) + [c * e for c in a], grown[i + k]
+                out += [0] * (len(term) - len(out))
+                for j, c in enumerate(term):
+                    out[j] = out[j] + c
+        prod = [monic_divmod(g, phi)[1] for g in grown]
+    top = prod[order] or [0]
+    assert not any(top[1:]), top
+    return top[0]
 
 
 def reference_roots(spec, t, p, n):
@@ -159,10 +207,13 @@ def test_wide_mixed_sign_coefficients():
 
 
 def test_product_of_no_terms_is_zero():
-    zero = LaurentPoly.constant("t", 0)
+    zero, one = LaurentPoly.constant("t", 0), LaurentPoly.constant("t", 1)
     assert twisted_product_coeff(3, [zero] * 4) == 0
-    with pytest.raises(ValueError):
-        twisted_product_coeff(4, [zero, LaurentPoly.constant("t", 1)])
+    assert twisted_product_coeff(4, [zero] * 9) == 0
+    # prod_m zeta^m w^2 = zeta^(p(p-1)/2) w^(2p), and zeta^(p/2) = -1 for even p
+    assert twisted_product_coeff(4, [zero, one]) == 0
+    for p in range(1, 10):
+        assert twisted_product_coeff(p, [zero, zero, one]) == (-1) ** (p - 1), p
 
 
 laurent = st.builds(
@@ -174,9 +225,10 @@ laurent = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.lists(laurent, min_size=1, max_size=11))
+@given(st.sampled_from([2, 3, 5, 4, 6, 8, 9]), st.lists(laurent, min_size=1, max_size=11))
 def test_twisted_product_is_rational(p, entries):
     # Replacing zeta by zeta^j permutes the factors, so the coefficient is
-    # Galois invariant: rational for any entries, never a ValueError.
+    # Galois invariant: rational for any entries, never a ValueError.  A
+    # composite order is checked modulo Phi_p, without the Mobius readout.
     got = twisted_product_coeff(p, entries)
-    assert got == reference_product(p, entries)
+    assert got == (reference_product if is_prime(p) else phi_reference)(p, entries)

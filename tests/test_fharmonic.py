@@ -58,8 +58,7 @@ def test_route_equivalence(spec, t):
         for p in range(1, 6):
             direct = fharmonic_direct(spec, p, n, tp ** p)
             assert harmonic_via_ftilde(spec, tp, p, n) == direct, (p, n)
-            if p in (2, 3, 5):
-                assert harmonic_via_roots(spec, tp, p, n) == direct, (p, n)
+            assert harmonic_via_roots(spec, tp, p, n) == direct, (p, n)
 
 
 def test_subst_route_matches_direct():
