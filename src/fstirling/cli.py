@@ -205,7 +205,7 @@ def cmd_eulersum(args) -> int:
 SUITE_MODULES = ("convpoly", "eulersum", "fharmonic", "stirling")
 
 
-def _s1_oracle(spec, tp, n, *_):
+def _s1_oracle(spec, tp, n):
     tri = stirling.s1_triangle(spec, tp, n)
     rep = Report("s1-oracle", {"f": spec.render(), "t": tp, "N": n})
     for m in range(n + 1):
@@ -214,15 +214,15 @@ def _s1_oracle(spec, tp, n, *_):
     return [rep]
 
 
-def _s2_geom(spec, tp, n, *_):
+def _s2_geom(spec, tp, n):
     coeffs = {(k, j): stirling.s2_diff_coeff(spec, tp, k, j)
               for k in range(6) for j in range(n + 1)}
     return [stirling.s2_geom_transform_check(spec, tp, m, k, coeffs)
             for m in range(n + 1) for k in range(6)]
 
 
-def _harmonic_routes(spec, tp, n, max_n):
-    rep = Report("harmonic-routes", {"f": spec.render(), "t": tp, "max_n": max_n})
+def _harmonic_routes(spec, tp, n):
+    rep = Report("harmonic-routes", {"f": spec.render(), "t": tp, "max_n": n})
     for m in range(n + 1):
         for p in range(1, 6):
             direct = fharmonic.fharmonic_direct(spec, p, m, tp ** p)
@@ -237,13 +237,9 @@ def _harmonic_routes(spec, tp, n, max_n):
 
 
 def _conv_shift(*_):
-    reports = []
-    for t_shift in (0, 1, 2):
-        stirling_s = (convpoly.TruncSeries.exp("z", 1, 5)
-                      / convpoly.geometric_minus_one_over("z", 5))
-        reports += [convpoly.conv_family_shift_check(coeffs, t_shift, 5, 6)
-                    for coeffs in ([1, 1], stirling_s.coeffs)]
-    return reports
+    stirling_s = convpoly.TruncSeries.exp("z", 1, 5) / convpoly.geometric_minus_one_over("z", 5)
+    return [convpoly.conv_family_shift_check(coeffs, t_shift, 5, 6)
+            for t_shift in (0, 1, 2) for coeffs in ([1, 1], stirling_s.coeffs)]
 
 
 def _euler_sum_numeric(spec, *_):
@@ -265,30 +261,29 @@ _TRANSFORMS = ("numeric f", "modified-number transforms need numeric f values")
 #   itself, and None marks a suite of fixed depth, which ignores --max-n.
 # - needs: (configuration, note) pairs; a configuration that lacks one gets a
 #   single skip cell with its note instead.
-# - body(spec, tp, n, max_n) returns the reports at depth n, with max_n the
-#   --max-n as given.
+# - body(spec, tp, n) returns the reports at depth n.
 SUITE_TABLE = {
     "s1-oracle": (12, (), _s1_oracle),  # brute force; stirling.ORACLE_CAP is 15
     "s2-geom": (8, (), _s2_geom),
-    "s2star-ogf": (NO_CAP, (_TRANSFORMS,), lambda spec, tp, n, *_: [
+    "s2star-ogf": (NO_CAP, (_TRANSFORMS,), lambda spec, tp, n: [
         stirling.s2star_ogf_check(spec, k, n) for k in range(5)]),
-    "s2star-egf": (8, (_TRANSFORMS,), lambda spec, tp, n, *_: [
+    "s2star-egf": (8, (_TRANSFORMS,), lambda spec, tp, n: [
         stirling.s2star_egf_check(spec, r, n) for r in range(5)]),
     "harmonic-routes": (10, (), _harmonic_routes),
-    "wf": (10, (), lambda spec, tp, n, *_: [fharmonic.s1_from_wf_check(spec, tp, n)]),
-    "corollary": (10, (), lambda spec, tp, n, *_: [
+    "wf": (10, (), lambda spec, tp, n: [fharmonic.s1_from_wf_check(spec, tp, n)]),
+    "corollary": (10, (), lambda spec, tp, n: [
         fharmonic.corollary_expansions_check(spec, tp, n)]),
     "prop1": (6, (("numeric f", "substitution parameter requires numeric f values"),),
-              lambda spec, tp, n, *_: [
+              lambda spec, tp, n: [
                   fharmonic.prop1_recurrence_check(spec, p, m)
                   for p in range(1, 4) for m in range(n + 1)]),
-    "prop2": (10, (), lambda spec, tp, n, *_: [
+    "prop2": (10, (), lambda spec, tp, n: [
         fharmonic.prop2_functional_eq_check(spec, tp, p, m)
         for p in range(2, 7) for m in range(n + 1)]),
     "euler-identity": (None, (), lambda *_: [
         fharmonic.stirling_harmonic_identity_check(p, m)
         for p in range(3, 7) for m in range(1, 21)]),
-    "convpoly-rec": (10, (), lambda spec, tp, n, *_: [
+    "convpoly-rec": (10, (), lambda spec, tp, n: [
         convpoly.sigma_recurrence_check(spec, tp, n, n)]),
     "gf-special": (None, (), lambda *_: [
         convpoly.stirlingpoly_gf_check("classic", 6, 8),
@@ -297,7 +292,7 @@ SUITE_TABLE = {
     "eulerian2": (None, (), lambda *_: [convpoly.eulerian2_identity_check(6, 12)]),
     "conv-shift": (None, (), _conv_shift),
     "experimental-fit": (10, (("numeric f and t", "experimental fit requires numeric f and t"),),
-                         lambda spec, tp, n, *_: [
+                         lambda spec, tp, n: [
                              convpoly.experimental_binomial_check(spec, tp, n)]),
     "euler-sum-numeric": (None, (
         ("numeric f", "numeric series require numeric f values"),
@@ -323,7 +318,7 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
             rep = Report(name, {"f": spec.render(), "t": str(t)})
             rep.skip((), note)
             return [rep]
-    return body(spec, tp, max_n if cap is None else min(max_n, cap), max_n)
+    return body(spec, tp, max_n if cap is None else min(max_n, cap))
 
 
 def cmd_verify(args) -> int:

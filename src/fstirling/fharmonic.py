@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .cyclotomic import power_coeffs, twisted_product_coeff
 # Re-exported: the benchmark tracer times the kernel under this module's name.
@@ -122,11 +122,8 @@ def wf_table(spec: FSpec, t: TParam, n: int, m_max: int
     for m in range(2, m_max + 1):
         acc = LaurentPoly.constant("t", 0)
         for k in range(m - 1):
-            fall = 1
-            for i in range(k):
-                fall *= m - 2 - i
-            term = harmonics[k] * values[m - 1 - k] * Fraction((-1) ** k * fall)
-            acc = acc + term
+            fall = math.perm(m - 2, k)
+            acc = acc + harmonics[k] * values[m - 1 - k] * Fraction((-1) ** k * fall)
         values[m] = acc
     return values, harmonics
 
@@ -217,27 +214,25 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
     ) * Fraction((-1) ** p)
     rhs = rhs + leading
 
-    def composition_sum(tri, total: int, parts: int) -> LaurentPoly:
-        """Sum over compositions of ``total`` into ``parts`` ordered parts
-        i_m >= 0 of the products of entry(n+1, i_m + 2)."""
-        acc = LaurentPoly.constant("t", 0)
-        for ks in _compositions(total, parts):
-            prod = LaurentPoly.constant("t", 1)
-            for i in ks:
-                prod = prod * tri.entry(n + 1, i + 2)
-            acc = acc + prod
-        return acc
+    # A sum over the compositions i_1 + ... + i_r = d of the products of
+    # entry(n+1, i_m + 2) is [w^d] g^r with g = sum_i entry(n+1, i+2) w^i,
+    # which power_coeffs reads off.
+    g_p = [tri_p.entry(n + 1, i + 2) for i in range(p)]
+    g_p1 = [tri_p1.entry(n + 1, i + 2) for i in range(p)]
 
-    # first double sum: composition products over the t^(1/p) triangle
+    # first double sum: [w^j] g^(p-j) over the t^(1/p) triangle
+    inner = power_coeffs(p, g_p)
     for j in range(p):
-        rhs = rhs + composition_sum(tri_p, j, p - j) * t_full ** s / (
+        rhs = rhs + inner[p - j - 1] * t_full ** s / (
             t_over_p ** (j * s) * nf ** (p - j)
         ) * Fraction(p * (-1) ** (j + 1), p - j)
 
-    # second double sum: mixed terms over the t^(1/(p+1)) triangle
+    # second double sum: mixed terms entry(n+1, i+2) [w^(j-i)] g^(p-j) over
+    # the t^(1/(p+1)) triangle
+    mixed = [power_coeffs(p - i, g_p1) for i in range(p)]
     for j in range(p):
         for i in range(j + 1):
-            term = tri_p1.entry(n + 1, i + 2) * composition_sum(tri_p1, j - i, p - j)
+            term = g_p1[i] * mixed[i][p - j - 1]
             rhs = rhs + term * t_full ** s / (
                 t_over_p1 ** (j * s) * nf ** (p + 1 - j)
             ) * Fraction((p + 1) * (-1) ** j, p + 1 - j)
@@ -257,17 +252,6 @@ def prop1_recurrence_check(spec: FSpec, p: int, n: int) -> Report:
         (p, n, "with-leading-factor"), lhs, rhs + leading * p, note="leading term scaled by p+1"
     )
     return report
-
-
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered tuples (i_1..i_parts) with every i_m >= 0 and sum = total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def prop2_functional_eq_check(spec: FSpec, t: TParam, p: int, n: int) -> Report:

@@ -136,20 +136,24 @@ def s1_column_closed_forms(spec: FSpec, t: TParam, N: int) -> Report:
     return report
 
 
+def _powers(spec: FSpec, tp: LaurentPoly, k: int, width: int) -> list:
+    """g(m) = f(m)^k t^(-mk) for 0 <= m < width, with g(0) read as 0^k
+    (0^0 = 1): f(0) is never evaluated."""
+    return [LaurentPoly.constant("t", 1 if k == 0 else 0)] + [
+        eval_f(spec, m) ** k * tp ** (-(m * k)) for m in range(1, width)]
+
+
 def s2_row(spec: FSpec, t: TParam, n: int, width: int) -> tuple:
     """Second-kind entries of row n for 0 <= k < width: the alternating
-    binomial sums over the f(j)^n t^(-jn) terms, each term computed once and
-    each entry built once from its per-exponent coefficients.
-
-    The j=0 summand contributes (-1)^k only when n = 0 (f(0) is never
-    evaluated; f(0)^n is read as 0^n with 0^0 = 1).
+    binomial sums over the f(j)^n t^(-jn) terms of ``_powers``, each term
+    computed once and each entry built once from its per-exponent
+    coefficients.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    tp = check_config(spec, t)
-    terms = [eval_f(spec, j) ** n * tp ** (-(j * n)) for j in range(1, width)]
+    terms = _powers(spec, check_config(spec, t), n, width)
     var = next((term.var for term in terms if not term.is_constant()), "t")
-    coeffs = [{0: 1} if n == 0 else {}] + [term.terms for term in terms]
+    coeffs = [term.terms for term in terms]
     row = []
     for k in range(width):
         entry = {}
@@ -176,10 +180,8 @@ def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
     the second kind, unlike the per-term 1/j! weighting of s2_entry."""
     if k < 0 or j < 0:
         raise ValueError("need k, j >= 0")
-    tp = check_config(spec, t)
-    acc = LaurentPoly.constant("t", Fraction((-1) ** j) if k == 0 else 0)
-    for m in range(1, j + 1):
-        gm = eval_f(spec, m) ** k * tp ** (-(m * k))
+    acc = LaurentPoly.constant("t", 0)
+    for m, gm in enumerate(_powers(spec, check_config(spec, t), k, j + 1)):
         acc = acc + gm * Fraction(math.comb(j, m) * (-1) ** (j - m))
     return acc * Fraction(1, math.factorial(j))
 
@@ -201,23 +203,16 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
     report = Report(
         "s2-geom-transform", {"f": spec.render(), "t": tp, "n": n, "k": k}
     )
-    zero = LaurentPoly.constant("t", 0)
-    lhs = [zero] * (n + 1)
-    for j in range(n + 1):
-        if j == 0:
-            lhs[0] = LaurentPoly.constant("t", 1 if k == 0 else 0)
-        else:
-            lhs[j] = eval_f(spec, j) ** k * tp ** (-(j * k))
-    rhs = [zero] * (n + 1)
+    lhs = _powers(spec, tp, k, n + 1)
+    rhs = [LaurentPoly.constant("t", 0)] * (n + 1)
     for j in range(n + 1):
         coeff = coeffs[k, j] if coeffs else s2_diff_coeff(spec, t, k, j)
         if coeff.is_zero():
             continue
         # D_z^j[sum_{i<=n} z^i] = sum_i perm(i, j) z^(i-j); the z^j prefactor
         # moves the contribution back to degree i.
-        deriv = [math.perm(i, j) for i in range(n + 1)]
         for i in range(j, n + 1):
-            rhs[i] = rhs[i] + coeff * deriv[i]
+            rhs[i] = rhs[i] + coeff * math.perm(i, j)
     for d in range(n + 1):
         report.check((n, k, d), lhs[d], rhs[d])
     return report
@@ -278,10 +273,7 @@ def s2star_egf_check(spec: FSpec, r: int, N: int) -> Report:
         coeff = s2star_entry(spec, r, j)
         if coeff == 0:
             continue
-        term = ez * (z + (j + 1)) * Fraction(1, j + 1) * coeff
-        # shift by z^j
-        shifted = TruncSeries("z", N, [Fraction(0)] * j + term.coeffs[: N + 1 - j])
-        rhs = rhs + shifted
+        rhs = rhs + ez * (z + (j + 1)) * Fraction(1, j + 1) * coeff * z ** j
     for n in range(1, N + 1):
         report.check((n,), lhs[n], rhs.coeff(n))
     return report

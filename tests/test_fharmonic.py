@@ -1,6 +1,7 @@
 """p-order harmonic partial sums: route equivalence, weighted-sum table,
 proposition checkers, and the numeric series operations."""
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -124,17 +125,18 @@ def test_corollary_closed_forms(spec, t):
     assert rep.passed, rep.failures[:3]
 
 
+PROP1_SPECS = (linear(1, 0), linear(2, 1))
+
+
 def test_prop1_as_printed_residuals_are_the_documented_ones():
     """The as-printed recurrence has a nonzero residual exactly when the
     leading single term is active (n >= p+1); the residual is accounted for
     by scaling that term by p+1.  See KNOWN_ISSUES.md."""
-    spec = linear(1, 0)
-    for p in range(1, 4):
-        for n in range(7):
-            rep = prop1_recurrence_check(spec, p, n)
-            by_key = {c.indices[2]: c for c in rep.cells}
-            assert by_key["with-leading-factor"].passed, (p, n)
-            assert by_key["as-printed"].passed == (n <= p), (p, n)
+    for spec, p, n in itertools.product(PROP1_SPECS, range(1, 7), range(9)):
+        rep = prop1_recurrence_check(spec, p, n)
+        by_key = {c.indices[2]: c for c in rep.cells}
+        assert by_key["with-leading-factor"].passed, (spec, p, n)
+        assert by_key["as-printed"].passed == (n <= p), (spec, p, n)
 
 
 def test_prop1_residual_formula():
@@ -143,9 +145,8 @@ def test_prop1_residual_formula():
     from fstirling.factorial import bang_f
     from fstirling.stirling import s1_triangle
 
-    spec = linear(1, 0)
-    for p in (1, 2, 3):
-        for n in range(p + 1, 7):
+    for spec, p in itertools.product(PROP1_SPECS, range(1, 7)):
+        for n in range(p + 1, 9):
             rep = prop1_recurrence_check(spec, p, n)
             cell = [c for c in rep.cells if c.indices[2] == "as-printed"][0]
             residual = cell.lhs - cell.rhs
@@ -158,7 +159,7 @@ def test_prop1_residual_formula():
                 / (up ** (p * p * s) * bang_f(spec, n))
                 * Fraction(p * (-1) ** p)
             )
-            assert residual == want, (p, n)
+            assert residual == want, (spec, p, n)
 
 
 @pytest.mark.parametrize("spec,t", MATRIX)
