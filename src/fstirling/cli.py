@@ -214,13 +214,6 @@ def _s1_oracle(spec, tp, n):
     return [rep]
 
 
-def _s2_geom(spec, tp, n):
-    coeffs = {(k, j): stirling.s2_diff_coeff(spec, tp, k, j)
-              for k in range(6) for j in range(n + 1)}
-    return [stirling.s2_geom_transform_check(spec, tp, m, k, coeffs)
-            for m in range(n + 1) for k in range(6)]
-
-
 def _harmonic_routes(spec, tp, n):
     rep = Report("harmonic-routes", {"f": spec.render(), "t": tp, "max_n": n})
     for m in range(n + 1):
@@ -264,7 +257,9 @@ _TRANSFORMS = ("numeric f", "modified-number transforms need numeric f values")
 # - body(spec, tp, n) returns the reports at depth n.
 SUITE_TABLE = {
     "s1-oracle": (12, (), _s1_oracle),  # brute force; stirling.ORACLE_CAP is 15
-    "s2-geom": (8, (), _s2_geom),
+    "s2-geom": (8, (), lambda spec, tp, n: [
+        stirling.s2_geom_transform_check(spec, tp, m, k)
+        for m in range(n + 1) for k in range(6)]),
     "s2star-ogf": (NO_CAP, (_TRANSFORMS,), lambda spec, tp, n: [
         stirling.s2star_ogf_check(spec, k, n) for k in range(5)]),
     "s2star-egf": (8, (_TRANSFORMS,), lambda spec, tp, n: [

@@ -242,13 +242,15 @@ def fit_experimental_gf(
 
 
 def _triangular_fit(targets: Sequence[Fraction], x: int, N: int) -> TruncSeries:
+    """F = sum g_n z^n, g_0 = 1, with [z^n] F^x = targets[n] = h_n for n <= N:
+    Miller's power recurrence n h_n = sum_{k=1..n} ((x+1)k - n) g_k h_(n-k)
+    solved for g_n, whose k = n term is x n g_n."""
     if targets[0] != 1:
         raise ValueError(f"normalized target at n=0 must be 1, got {targets[0]}")
     coeffs = [Fraction(1)]
     for n in range(1, N + 1):
-        partial = TruncSeries("z", n, coeffs + [Fraction(0)])
-        known = (partial ** x).coeff(n)
-        coeffs.append((targets[n] - known) / x)
+        known = sum(((x + 1) * k - n) * coeffs[k] * targets[n - k] for k in range(1, n))
+        coeffs.append((n * targets[n] - known) / (x * n))
     return TruncSeries("z", N, coeffs)
 
 

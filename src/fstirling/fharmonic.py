@@ -88,12 +88,12 @@ def harmonic_via_roots(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
 def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:
     """Generate sum_{k<=n} t^k/f(k)^p with t = u^p via a triangle built at the
     substitution parameter u (so fractional powers of t never appear), by the
-    root-of-unity route.
+    ftilde route, whose cost grows more slowly in p than the roots grid's.
 
     The result is a Laurent polynomial in u; the harmonic-routes suite
     compares it with the direct sum at t = u^p.
     """
-    return harmonic_via_roots(spec, check_config(spec, "u"), p, n)
+    return harmonic_via_ftilde(spec, check_config(spec, "u"), p, n)
 
 
 # -- weighted sums ---------------------------------------------------------

@@ -3,8 +3,9 @@
 First-kind entries are the x-power coefficients of the generalized Pochhammer
 product; they are built by the two-term recurrence and independently checkable
 against an elementary-symmetric-polynomial oracle that enumerates subsets
-directly.  Second-kind entries and their two "modified" series transforms are
-evaluated from their defining alternating binomial sums.
+directly.  Second-kind entries are evaluated from their defining alternating
+binomial sums; their connection coefficients and the "modified" values behind
+the series transforms are forward-difference coefficients (``_newton``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import io
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple
 
 from .factorial import TParam, bang_f, bang_ft, check_config
-from .fspec import FSpec, eval_f
+from .fspec import FSpec, eval_f, f_pairs
 from .laurent import LaurentPoly
 from .report import Report, json_list_chunks, json_text, render_t, render_value
 
@@ -172,6 +173,16 @@ def s2_entry(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
     return s2_row(spec, t, n, k + 1)[k]
 
 
+def _newton(g: list) -> list:
+    """Newton's forward-difference coefficients of g at 0: Delta^j[g](0)/j!
+    for j < len(g), by repeated differencing."""
+    out = []
+    for j in range(len(g)):
+        out.append(g[0] * Fraction(1, math.factorial(j)))
+        g = [b - a for a, b in zip(g, g[1:])]
+    return out
+
+
 def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
     """Finite-difference normalization of the second-kind connection
     coefficients: Delta^j[g](0)/j! with g(m) = f(m)^k t^(-mk) (g(0) read as
@@ -180,14 +191,10 @@ def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
     the second kind, unlike the per-term 1/j! weighting of s2_entry."""
     if k < 0 or j < 0:
         raise ValueError("need k, j >= 0")
-    acc = LaurentPoly.constant("t", 0)
-    for m, gm in enumerate(_powers(spec, check_config(spec, t), k, j + 1)):
-        acc = acc + gm * Fraction(math.comb(j, m) * (-1) ** (j - m))
-    return acc * Fraction(1, math.factorial(j))
+    return _newton(_powers(spec, check_config(spec, t), k, j + 1))[j]
 
 
-def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
-                            coeffs: Optional[Dict] = None) -> Report:
+def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int) -> Report:
     """Coefficient-wise check in z of the finite geometric-series transform:
 
         sum_{j<=n} f(j)^k t^(-jk) z^j
@@ -196,7 +203,7 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
     with connection coefficients c(k,j) = s2_diff_coeff(k, j) summed over
     j <= n.  When f is a degree-d polynomial in n and t = 1 the coefficients
     vanish for j > dk, truncating the sum to the column index; general f and
-    t need the full range (``coeffs`` may hold them by (k, j)).  The right
+    t need the full range, read off the left side by ``_newton``.  The right
     side takes exact symbolic derivatives of the expanded geometric polynomial.
     """
     tp = check_config(spec, t)
@@ -205,8 +212,7 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
     )
     lhs = _powers(spec, tp, k, n + 1)
     rhs = [LaurentPoly.constant("t", 0)] * (n + 1)
-    for j in range(n + 1):
-        coeff = coeffs[k, j] if coeffs else s2_diff_coeff(spec, t, k, j)
+    for j, coeff in enumerate(_newton(lhs)):
         if coeff.is_zero():
             continue
         # D_z^j[sum_{i<=n} z^i] = sum_i perm(i, j) z^(i-j); the z^j prefactor
@@ -218,16 +224,19 @@ def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int,
     return report
 
 
+def _reciprocal_powers(spec: FSpec, k: int, width: int) -> list:
+    """0, 1/f(1)^k, ..., 1/f(width-1)^k: the sequence whose forward-difference
+    coefficients are the modified second-kind values.  Numeric f only."""
+    return [Fraction(0)] + [Fraction(den, num) ** k for num, den in f_pairs(spec, 1, width)]
+
+
 def s2star_entry(spec: FSpec, k: int, j: int) -> Fraction:
     """Modified second-kind value: sum over 1 <= m <= j of the alternating
-    binomial terms with 1/f(m)^k weights.  Numeric f only; t plays no role."""
+    binomial terms with 1/f(m)^k weights, i.e. Delta^j/j! at 0 of
+    ``_reciprocal_powers``.  Numeric f only; t plays no role."""
     if k < 0 or j < 1:
         raise ValueError("need k >= 0 and j >= 1")
-    acc = Fraction(0)
-    for m in range(1, j + 1):
-        fm = eval_f(spec, m).constant_value()
-        acc += Fraction(math.comb(j, m) * (-1) ** (j - m), math.factorial(j)) / fm ** k
-    return acc
+    return _newton(_reciprocal_powers(spec, k, j + 1))[j]
 
 
 def s2star_ogf_check(spec: FSpec, k: int, N: int) -> Report:
@@ -236,16 +245,11 @@ def s2star_ogf_check(spec: FSpec, k: int, N: int) -> Report:
         1/f(n)^k = sum_{j=1}^{n} s2star(k, j) j! C(n, j).
     """
     report = Report("s2star-ogf", {"f": spec.render(), "k": k, "N": N})
+    lhs = _reciprocal_powers(spec, k, N + 1)
+    coeffs = _newton(lhs)
     for n in range(1, N + 1):
-        lhs = Fraction(1) / eval_f(spec, n).constant_value() ** k
-        rhs = sum(
-            (
-                s2star_entry(spec, k, j) * math.factorial(j) * math.comb(n, j)
-                for j in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        report.check((n,), lhs, rhs)
+        rhs = sum((coeffs[j] * math.perm(n, j) for j in range(1, n + 1)), Fraction(0))
+        report.check((n,), lhs[n], rhs)
     return report
 
 
@@ -261,16 +265,12 @@ def s2star_egf_check(spec: FSpec, r: int, N: int) -> Report:
     report = Report("s2star-egf", {"f": spec.render(), "r": r, "N": N})
     if N < 1:
         return report
-    harmonic = Fraction(0)
-    lhs = [Fraction(0)]
-    for n in range(1, N + 1):
-        harmonic += Fraction(1) / eval_f(spec, n).constant_value() ** r
-        lhs.append(harmonic / math.factorial(n))
+    terms = _reciprocal_powers(spec, r, N + 1)
+    lhs = [h / math.factorial(n) for n, h in enumerate(itertools.accumulate(terms))]
     rhs = TruncSeries.constant("z", Fraction(0), N)
     ez = TruncSeries.exp("z", 1, N)
     z = TruncSeries.variable("z", N)
-    for j in range(1, N + 1):
-        coeff = s2star_entry(spec, r, j)
+    for j, coeff in enumerate(_newton(terms)):
         if coeff == 0:
             continue
         rhs = rhs + ez * (z + (j + 1)) * Fraction(1, j + 1) * coeff * z ** j

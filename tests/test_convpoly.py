@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fstirling.convpoly import (
+    _triangular_fit,
     conv_family_shift_check,
     eulerian2_identity_check,
     eulerian2_triangle,
@@ -127,6 +128,23 @@ def test_fit_reproduces_inputs():
     assert fitted.coeffs[2] == Fraction(1, 12)
     assert fitted.coeffs[3] == 0
     assert fitted.coeffs[4] == Fraction(-1, 720)
+
+
+def _fit_by_powering(targets, x, N):
+    """The fit as a triangular solve: g_n from [z^n] of the x-th power of the
+    series known so far."""
+    coeffs = [Fraction(1)]
+    for n in range(1, N + 1):
+        partial = TruncSeries("z", n, coeffs + [Fraction(0)])
+        coeffs.append((targets[n] - (partial ** x).coeff(n)) / x)
+    return coeffs
+
+
+def test_power_recurrence_fit_matches_the_powering_fit():
+    N = 10
+    targets = [Fraction(1)] + [Fraction((-1) ** n * (n * n + 1), n + 2) for n in range(1, N + 1)]
+    for x in range(1, 30):
+        assert _triangular_fit(targets, x, N).coeffs == _fit_by_powering(targets, x, N), x
 
 
 def test_fit_rejects_bad_arguments():

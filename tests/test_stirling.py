@@ -143,6 +143,49 @@ def test_s2_diff_coeff_reduces_to_classical():
         assert s2_diff_coeff(spec, 1, n, k) == v
 
 
+def _diff_coeff_by_binomial_sum(spec, t, k, j):
+    """Delta^j[g](0)/j! written out as sum_m C(j, m) (-1)^(j-m) g(m) / j!."""
+    tp = check_config(spec, t)
+    acc = LaurentPoly.constant("t", 0)
+    for m in range(j + 1):
+        gm = (LaurentPoly.constant("t", 1 if k == 0 else 0) if m == 0
+              else eval_f(spec, m) ** k * tp ** (-(m * k)))
+        acc = acc + gm * Fraction(math.comb(j, m) * (-1) ** (j - m))
+    return acc * Fraction(1, math.factorial(j))
+
+
+def _s2star_by_binomial_sum(spec, k, j):
+    acc = Fraction(0)
+    for m in range(1, j + 1):
+        fm = eval_f(spec, m).constant_value()
+        acc += Fraction(math.comb(j, m) * (-1) ** (j - m), math.factorial(j)) / fm ** k
+    return acc
+
+
+@pytest.mark.parametrize("spec,t", [
+    (linear(2, 1), Fraction(3, 2)),
+    (linear(2, 1), "t"),
+    (parse_fspec("poly:1,0,1"), "t"),
+    (TABLE, Fraction(3, 2)),
+    (parse_fspec("qpow:3/2,1"), "t"),
+])
+def test_forward_differences_match_the_binomial_sums(spec, t):
+    for k in range(6):
+        for j in range(9):
+            want = _diff_coeff_by_binomial_sum(spec, t, k, j)
+            got = s2_diff_coeff(spec, t, k, j)
+            assert (got, str(got)) == (want, str(want)), (k, j)
+            if j:
+                assert s2star_entry(spec, k, j) == _s2star_by_binomial_sum(spec, k, j), (k, j)
+
+
+def test_s2star_rejects_symbolic_f():
+    for call in (lambda: s2star_entry(qpow(1), 1, 2), lambda: s2star_ogf_check(qpow(1), 1, 4),
+                 lambda: s2star_egf_check(qpow(1), 1, 4)):
+        with pytest.raises(FSpecError):
+            call()
+
+
 @pytest.mark.parametrize("spec,t", MATRIX)
 def test_geom_transform(spec, t):
     for n in range(6):
