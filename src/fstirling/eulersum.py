@@ -1,10 +1,11 @@
 """Exact partial sums of the Euler-type series built on 1/f(n)^r.
 
-Every sum runs on integer pairs from ``fspec.f_pairs``: the exact sums
-combine them divide and conquer, and ``euler_sum_floor`` encloses the sum in
-fixed point, for ``linear:a,b`` with a > 0 through an Euler-Maclaurin tail.
-This module imports only ``fspec``, so the ``eulersum`` command loads no
-ring, triangle or route module.
+Every sum runs on integer pairs from ``fspec.f_pairs``.  The exact sums
+combine them divide and conquer: the plain sums in lowest terms at each node,
+the prefix-weighted sum over each node's lcm denominator, reduced at the root.
+``euler_sum_floor`` encloses the sum in fixed point, for ``linear:a,b`` with
+a > 0 through an Euler-Maclaurin tail.  This module imports only ``fspec``, so
+the ``eulersum`` command loads no ring, triangle or route module.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def euler_sum_numeric(spec: FSpec, r: int, N: int, mode: str) -> Fraction:
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode == "harmonic_over_f":
-        return Fraction(*_prefix_weighted_sum(_terms(spec, r, N), N)[1])
+        _, S, D = _prefix_weighted_sum(_terms(spec, r, N), N)
+        return Fraction(S, D * D)
     if mode not in ("fzeta", "fzeta2r"):
         raise ValueError(f"unknown mode {mode!r}")
     return Fraction(*_range_sum(_terms(spec, 2 * r if mode == "fzeta2r" else r, N), N))
@@ -41,7 +43,8 @@ def fzeta_and_harmonic_sums(spec: FSpec, r: int, N: int) -> Tuple[Fraction, Frac
     """The "fzeta" and "harmonic_over_f" sums of euler_sum_numeric, from one pass."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return tuple(Fraction(*s) for s in _prefix_weighted_sum(_terms(spec, r, N), N))
+    P, S, D = _prefix_weighted_sum(_terms(spec, r, N), N)
+    return Fraction(P, D), Fraction(S, D * D)
 
 
 _FLOOR_DOUBLINGS = 3
@@ -201,9 +204,10 @@ def _tail(spec: FSpec, s: int, m: int, N: int, bits: int) -> Tuple[int, int]:
     return lo, hi
 
 
-# The exact sums carry each rational as an integer pair (p, q) in lowest terms
-# with q > 0, Fraction's own invariant, and combine pairs with the gcd-reduced
-# add and multiply that Fraction uses (Knuth, TAOCP vol. 2, 4.5.1).
+# The plain sums add lowest-terms pairs (p, q), q > 0, as Fraction does (Knuth,
+# TAOCP vol. 2, 4.5.1): a sum can be far below its terms' lcm (poly:0,1,1 at
+# r = 1 telescopes to N/(N+1)).  The prefix-weighted sum carries each node's
+# sums over the lcm of its term denominators (Haible and Papanikolaou, 1998).
 
 
 def _terms(spec: FSpec, power: int, N: int) -> Iterator[tuple]:
@@ -222,12 +226,6 @@ def _add(a: tuple, b: tuple) -> tuple:
     return t // g2, (da // g) * (db // g2)
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    (na, da), (nb, db) = a, b
-    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
-    return (na // g1) * (nb // g2), (da // g2) * (db // g1)
-
-
 def _range_sum(terms: Iterator[tuple], count: int) -> tuple:
     """Sum of the next ``count`` pairs of ``terms``."""
     if count == 1:
@@ -235,12 +233,16 @@ def _range_sum(terms: Iterator[tuple], count: int) -> tuple:
     return _add(_range_sum(terms, count // 2), _range_sum(terms, count - count // 2))
 
 
-def _prefix_weighted_sum(terms: Iterator[tuple], count: int) -> Tuple[tuple, tuple]:
-    """(A, T) over the next ``count`` pairs: A = sum a_n, T = sum_{k<=n} a_k a_n."""
+def _prefix_weighted_sum(terms: Iterator[tuple], count: int) -> Tuple[int, int, int]:
+    """(P, S, D) over the next ``count`` pairs: D is the lcm of their
+    denominators, A = sum a_n = P/D and T = sum_{k<=n} a_k a_n = S/D^2."""
     if count == 1:
-        a = next(terms)
-        return a, (a[0] * a[0], a[1] * a[1])
+        p, q = next(terms)
+        return p, p * p, q
     half = count // 2
-    A1, T1 = _prefix_weighted_sum(terms, half)
-    A2, T2 = _prefix_weighted_sum(terms, count - half)
-    return _add(A1, A2), _add(_add(T1, T2), _mul(A1, A2))
+    P1, S1, D1 = _prefix_weighted_sum(terms, half)
+    P2, S2, D2 = _prefix_weighted_sum(terms, count - half)
+    g = math.gcd(D1, D2)
+    m1, m2 = D2 // g, D1 // g
+    P1, P2 = P1 * m1, P2 * m2
+    return P1 + P2, S1 * m1 * m1 + S2 * m2 * m2 + P1 * P2, D1 * m1

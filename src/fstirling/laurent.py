@@ -3,11 +3,12 @@
 A value is ``(var, lo, num, den)``, FLINT's ``fmpq_poly`` layout: the
 coefficient of ``var^(lo + i)`` is ``num[i] / den``, ``num`` is a tuple of ints
 with no zero at either end (empty, with ``lo == 0``, for zero) and ``den > 0``
-shares no factor with all of ``num``.  One normalizer builds every result, so
-equal values have equal fields.  A product of two polynomials of two or more
-terms packs each integer list into one int (Kronecker substitution), makes one
-big-int multiply and unpacks the digits; a one-term operand scales the other
-list directly.  Values are immutable by convention and hash by value.
+shares no factor with all of ``num``.  One normalizer builds every result but a
+negation, which keeps these conditions, so equal values have equal fields.  A
+product of two polynomials of two or more terms packs each integer list into
+one int (Kronecker substitution), makes one big-int multiply and unpacks the
+digits; a one-term operand scales the other list directly.  Values are
+immutable by convention and hash by value.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _make(self.var, self.lo, [-c for c in self.num], self.den)
+        p = object.__new__(LaurentPoly)
+        p.var, p.lo, p.num, p.den = self.var, self.lo, tuple(-c for c in self.num), self.den
+        return p
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))

@@ -365,17 +365,59 @@ def test_euler_sum_numeric_matches_sequential_fraction_sums(spec_f, r, N):
         got = euler_sum_numeric(spec, r, N, mode)
         assert (got.numerator, got.denominator) == (ref[mode].numerator, ref[mode].denominator)
     assert fzeta_and_harmonic_sums(spec, r, N) == (ref["fzeta"], ref["harmonic_over_f"])
-    # Before any Fraction is built, the kernel's pairs are already in lowest
-    # terms with a positive denominator.
-    A, T = _prefix_weighted_sum(_terms(spec, r, N), N)
+    # The prefix-weighted sum carries A = P/D and T = S/D^2 over the lcm D of
+    # the term denominators, unreduced; the plain sums' pairs are already in
+    # lowest terms with a positive denominator.
+    P, S, D = _prefix_weighted_sum(_terms(spec, r, N), N)
+    assert D == math.lcm(*(q for _, q in _terms(spec, r, N))) > 0
+    assert (Fraction(P, D), Fraction(S, D * D)) == (ref["fzeta"], ref["harmonic_over_f"])
     pairs = [
         ("fzeta", _range_sum(_terms(spec, r, N), N)),
         ("fzeta2r", _range_sum(_terms(spec, 2 * r, N), N)),
-        ("fzeta", A),
-        ("harmonic_over_f", T),
     ]
     for mode, pair in pairs:
         assert pair == (ref[mode].numerator, ref[mode].denominator)
+
+
+def _reduced_add(a, b):
+    (na, da), (nb, db) = a, b
+    g = math.gcd(da, db)
+    t = na * (db // g) + nb * (da // g)
+    g2 = math.gcd(t, g)
+    return t // g2, (da // g) * (db // g2)
+
+
+def _reduced_mul(a, b):
+    (na, da), (nb, db) = a, b
+    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+    return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+
+def _reduced_prefix_weighted_sum(terms, count):
+    """(A, T) as lowest-terms pairs, every node reduced: the reference fold."""
+    if count == 1:
+        a = next(terms)
+        return a, (a[0] * a[0], a[1] * a[1])
+    half = count // 2
+    A1, T1 = _reduced_prefix_weighted_sum(terms, half)
+    A2, T2 = _reduced_prefix_weighted_sum(terms, count - half)
+    return _reduced_add(A1, A2), _reduced_add(_reduced_add(T1, T2), _reduced_mul(A1, A2))
+
+
+@pytest.mark.parametrize("f,N", [
+    ("linear:2,1", 2000),  # the euler-sum-numeric suite's call
+    ("linear:1,0", 3000),  # the N = 3000 exact render
+    ("poly:0,1,1", 2000),  # A telescopes to N/(N+1)
+    ("qpow:3/2,1", 300),
+])
+def test_lcm_carry_matches_the_reduced_fold_deep(f, N):
+    """Deep trees, beyond the property test's N <= 60: the lcm-carried sums
+    equal a fold that reduces every node."""
+    from fstirling.eulersum import _terms, fzeta_and_harmonic_sums
+
+    spec = parse_fspec(f)
+    A, T = _reduced_prefix_weighted_sum(_terms(spec, 2, N), N)
+    assert fzeta_and_harmonic_sums(spec, 2, N) == (Fraction(*A), Fraction(*T))
 
 
 @pytest.mark.parametrize(

@@ -215,7 +215,7 @@ def test_dense_ring_matches_reference(a, b):
     pa, pb = LaurentPoly("t", a), LaurentPoly("t", b)
     neg_b = {e: -c for e, c in b.items()}
     for result, expected in ((pa + pb, ref_add(a, b)), (pa - pb, ref_add(a, neg_b)),
-                             (pa * pb, ref_mul(a, b))):
+                             (pa * pb, ref_mul(a, b)), (-pb, ref_add({}, neg_b))):
         check_normalized(result)
         assert result.terms == expected
         assert result == LaurentPoly("t", expected)
