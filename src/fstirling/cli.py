@@ -13,7 +13,9 @@ Exit codes: 0 success with all checks passing, 1 identity-check failure
 (reports still written), 2 usage or configuration error, 141 (128 + SIGPIPE)
 when the reader of standard output closes it early.  Bad input is rejected
 here, at the boundary; an error inside the library is a program fault and
-exits with its traceback, never with 2.  The command process leaves through
+exits with its traceback, never with 2.  ``main`` parses and checks ``--f``
+and ``--t`` once for every command, before it lifts the int-to-string digit
+limit for the command's work.  The command process leaves through
 ``console_main``, without interpreter teardown.
 
 Only argument parsing, the f parser and the report writer are imported up
@@ -104,30 +106,23 @@ def _render_scalar(value, decimal: int | None) -> str:
 
 def cmd_triangle(args) -> int:
     from . import stirling
-    from .factorial import check_config
 
-    spec = parse_fspec(args.f)
-    t = _parse_t(args.t)
+    spec, tp = args.spec, args.tp
     if args.kind == "s1":
-        tri = stirling.s1_triangle(spec, t, args.rows)
+        tri = stirling.s1_triangle(spec, tp, args.rows)
     else:
-        tp = check_config(spec, t)
         entries = tuple(stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1))
         tri = stirling.Triangle(spec, tp, args.rows, entries)
-    with digits_unlimited():
-        _emit(tri.json_chunks() if args.format == "json" else (tri.to_csv(),), args.output)
+    _emit(tri.json_chunks() if args.format == "json" else (tri.to_csv(),), args.output)
     return 0
 
 
 def cmd_harmonic(args) -> int:
     from . import fharmonic
-    from .factorial import check_config
 
     if args.method == "subst" and args.t is not None:
         raise UsageError("--t does not apply to --method subst, which works at t = u^p")
-    spec = parse_fspec(args.f)
-    t = _parse_t("1" if args.t is None else args.t)
-    tp = check_config(spec, t)
+    spec, tp = args.spec, args.tp
     if args.p < 1:
         raise UsageError("order p must be >= 1")
     if args.method == "direct":
@@ -138,48 +133,42 @@ def cmd_harmonic(args) -> int:
         value = fharmonic.harmonic_via_roots(spec, tp, args.p, args.n)
     else:
         value = fharmonic.harmonic_via_subst(spec, args.p, args.n)
-    with digits_unlimited():
-        text = _render_scalar(value, args.decimal)
-    _emit((text,), args.output)
+    _emit((_render_scalar(value, args.decimal),), args.output)
     return 0
 
 
 def cmd_convpoly(args) -> int:
     from . import convpoly, stirling
-    from .factorial import check_config
 
     if args.format == "json" and args.decimal is not None:
         raise UsageError("--decimal applies only to --format csv")
-    spec = parse_fspec(args.f)
-    t = _parse_t(args.t)
-    tp = check_config(spec, t)
+    spec, tp = args.spec, args.tp
     tri = stirling.s1_triangle(spec, tp, args.x_max)
     rows = []
     for n in range(args.n_max + 1):
         for x in range(n + 1, args.x_max + 1):
             value = convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri)
             rows.append((n, x, value))
-    with digits_unlimited():
-        if args.format == "json":
-            payload = {
-                "f": spec.render(),
-                "t": render_t(tp),
-                "variant": args.variant,
-                "values": [
-                    {"n": n, "x": x, "value": render_value(v)} for n, x, v in rows
-                ],
-            }
-            text = json_text(payload)
-        else:
-            import csv
-            import io
+    if args.format == "json":
+        payload = {
+            "f": spec.render(),
+            "t": render_t(tp),
+            "variant": args.variant,
+            "values": [
+                {"n": n, "x": x, "value": render_value(v)} for n, x, v in rows
+            ],
+        }
+        text = json_text(payload)
+    else:
+        import csv
+        import io
 
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["n", "x", "value"])
-            for n, x, v in rows:
-                writer.writerow([n, x, _render_scalar(v, args.decimal)])
-            text = buf.getvalue()
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["n", "x", "value"])
+        for n, x, v in rows:
+            writer.writerow([n, x, _render_scalar(v, args.decimal)])
+        text = buf.getvalue()
     _emit((text,), args.output)
     return 0
 
@@ -187,22 +176,25 @@ def cmd_convpoly(args) -> int:
 def cmd_eulersum(args) -> int:
     from . import eulersum
 
-    spec = parse_fspec(args.f)
     if args.N < 1:
         raise UsageError("N must be >= 1")
     if args.decimal is None:
-        value = eulersum.euler_sum_numeric(spec, args.r, args.N, args.mode)
+        text = str(eulersum.euler_sum_numeric(args.spec, args.r, args.N, args.mode))
     else:
-        value = eulersum.euler_sum_floor(spec, args.r, args.N, args.mode, 10 ** args.decimal)
-    with digits_unlimited():
-        text = str(value) if args.decimal is None else _fixed_str(value, args.decimal)
+        value = eulersum.euler_sum_floor(args.spec, args.r, args.N, args.mode, 10 ** args.decimal)
+        text = _fixed_str(value, args.decimal)
     _emit((text,), args.output)
     return 0
 
 
-# The suite bodies call these modules, which run_suite imports into this
-# module's namespace; building the parser loads none of them.
+# The suite bodies call these modules, which _load_suite_modules imports into
+# this module's namespace; building the parser loads none of them.
 SUITE_MODULES = ("convpoly", "eulersum", "fharmonic", "stirling")
+
+
+def _load_suite_modules():
+    for module in SUITE_MODULES:
+        globals()[module] = import_module(f".{module}", __package__)
 
 
 def _s1_oracle(spec, tp, n):
@@ -302,8 +294,7 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
     """The reports of suite ``name``, or one skip cell where it does not apply."""
     from .factorial import check_config
 
-    for module in SUITE_MODULES:
-        globals()[module] = import_module(f".{module}", __package__)
+    _load_suite_modules()
     tp = check_config(spec, t)
     cap, needs, body = SUITE_TABLE[name]
     has = {"numeric f": not spec.symbolic, "f at every n": spec.kind != "table",
@@ -317,27 +308,21 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
 
 
 def cmd_verify(args) -> int:
-    from .factorial import check_config
-
-    spec = parse_fspec(args.f)
-    t = _parse_t(args.t)
     names = SUITES if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
             raise UsageError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
-    check_config(spec, t)
 
     def suite_output(name: str) -> tuple:
         """A suite's console lines, whether it failed, and its reports' JSON texts."""
-        reports = run_suite(name, spec, t, args.max_n)
+        reports = run_suite(name, args.spec, args.tp, args.max_n)
         failed = not all(r.passed for r in reports)
         cells = sum(len(r.cells) for r in reports)
         lines = [f"{'FAIL' if failed else 'pass':4}  {name:20} ({cells} cells)"]
-        with digits_unlimited():
-            lines += [f"      {r.identity} {cell.indices}: "
-                      f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}"
-                      for r in reports for cell in r.failures[:5]]
-            texts = [json_text(r.to_json(), 1) for r in reports] if args.output else []
+        lines += [f"      {r.identity} {cell.indices}: "
+                  f"lhs={render_value(cell.lhs)} rhs={render_value(cell.rhs)}"
+                  for r in reports for cell in r.failures[:5]]
+        texts = [json_text(r.to_json(), 1) for r in reports] if args.output else []
         return "\n".join(lines), failed, texts
 
     processes = 1
@@ -347,8 +332,7 @@ def cmd_verify(args) -> int:
         processes = pool.processes_for(len(names))
     if processes > 1:
         # Compile the suites' modules once, before the workers are forked.
-        from . import convpoly, eulersum, fharmonic, stirling  # noqa: F401
-
+        _load_suite_modules()
         # The two slowest suites start first, so neither is left to run alone.
         order = sorted(range(len(names)), key=lambda i: names[i] not in SLOWEST_SUITES)
         outputs = pool.run(suite_output, names, order, processes, (UsageError, FSpecError))
@@ -443,7 +427,14 @@ def main(argv=None) -> int:
         if loaded is not None:
             getattr(loaded, store).clear()
     try:
-        code = args.func(args)
+        # Outside input is parsed and checked before the digit limit is lifted.
+        args.spec = parse_fspec(args.f)
+        if "t" in args:  # every command but eulersum
+            from .factorial import check_config
+
+            args.tp = check_config(args.spec, _parse_t("1" if args.t is None else args.t))
+        with digits_unlimited():
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except (UsageError, FSpecError) as exc:

@@ -3,8 +3,9 @@
 Every sum runs on integer pairs from ``fspec.f_pairs``.  The exact sums
 combine them divide and conquer: the plain sums in lowest terms at each node,
 the prefix-weighted sum over each node's lcm denominator, reduced at the root.
-``euler_sum_floor`` encloses the sum in fixed point, for ``linear:a,b`` with
-a > 0 through an Euler-Maclaurin tail.  This module imports only ``fspec``, so
+``euler_sum_floor`` encloses the sum once in fixed point, for ``linear:a,b``
+with a > 0 through an Euler-Maclaurin tail, and sums exactly where that
+enclosure straddles a digit.  This module imports only ``fspec``, so
 the ``eulersum`` command loads no ring, triangle or route module.
 """
 
@@ -47,7 +48,6 @@ def fzeta_and_harmonic_sums(spec: FSpec, r: int, N: int) -> Tuple[Fraction, Frac
     return Fraction(P, D), Fraction(S, D * D)
 
 
-_FLOOR_DOUBLINGS = 3
 # The Euler-Maclaurin tail starts at the first n with f(n)/a = n + b/a >= _EM_START
 # and keeps _EM_TERMS Bernoulli corrections: for linear:1,0 and power 2 up to
 # N = 100000, the remainder bound is 1.6e-47.
@@ -62,29 +62,24 @@ def euler_sum_floor(spec: FSpec, r: int, N: int, mode: str, unit: int) -> int:
     Each term a_n = 1/f(n)^r is enclosed in fixed point at scale 2^bits by
     its floor and ceiling; the sums of those bounds enclose the series
     (mode "harmonic_over_f" uses T = (A^2 + sum a_n^2)/2 with A = sum a_n).
-    For ``linear:a,b`` with a > 0 and term powers of at least 2, the first
-    try sums only the terms before _tail_start and encloses the rest by
-    Euler-Maclaurin summation (_tail).  When both ends of an enclosure floor
-    to the same multiple of 1/unit, that is the answer; otherwise every term
-    is summed, the precision doubles, and after _FLOOR_DOUBLINGS doublings
-    the exact sum decides.
+    For ``linear:a,b`` with a > 0 and term powers of at least 2, only the
+    terms before _tail_start are summed and the rest is enclosed by
+    Euler-Maclaurin summation (_tail).  When both ends of the one enclosure
+    floor to the same multiple of 1/unit, that is the answer; otherwise the
+    exact sum decides, not a finer enclosure: a sum that is exactly a
+    multiple of 1/unit straddles it at every precision.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if mode not in ("harmonic_over_f", "fzeta", "fzeta2r"):
         raise ValueError(f"unknown mode {mode!r}")
     power = 2 * r if mode == "fzeta2r" else r
-    weighted = mode == "harmonic_over_f"
     bits = unit.bit_length() + 2 * N.bit_length() + 16
-    tries = [(N + 1, bits << i) for i in range(_FLOOR_DOUBLINGS + 1)]
-    tail = _tail_start(spec, power, N)
-    if tail is not None:
-        tries.insert(0, (tail, bits))
-    for m, b in tries:
-        lo, hi, shift = _enclose(spec, power, N, b, weighted, m)
-        floor_lo = lo * unit >> shift
-        if floor_lo == hi * unit >> shift:
-            return floor_lo
+    m = _tail_start(spec, power, N) or N + 1
+    lo, hi, shift = _enclose(spec, power, N, bits, mode == "harmonic_over_f", m)
+    floor_lo = lo * unit >> shift
+    if floor_lo == hi * unit >> shift:
+        return floor_lo
     exact = euler_sum_numeric(spec, r, N, mode)
     return exact.numerator * unit // exact.denominator
 

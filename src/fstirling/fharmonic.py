@@ -1,10 +1,10 @@
 """p-order f-harmonic numbers and the identities built on them.
 
-Four generation routes for the partial sums sum_{k<=n} arg^k / f(k)^p are
-provided (direct, row-generating-function, root-of-unity product, and
-fractional-power substitution) together with checkers for the weighted-sum
-recursion, the two propositions and the classical-Stirling difference
-identity.  The Euler-like series sums live in ``eulersum``.
+Three independent routes generate the partial sums sum_{k<=n} arg^k / f(k)^p
+(direct, row-generating-function and root-of-unity product); fractional-power
+substitution reruns the second at a substitution variable.  Checkers cover the
+weighted-sum recursion, the two propositions and the classical-Stirling
+difference identity.  The Euler-like series sums live in ``eulersum``.
 """
 
 from __future__ import annotations

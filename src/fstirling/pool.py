@@ -15,7 +15,6 @@ import gc
 import marshal
 import os
 
-MAX_PROCESSES = 16
 SIGKILL = 9  # the same on every POSIX system; importing ``signal`` costs 1 ms
 
 
@@ -24,7 +23,7 @@ def processes_for(count: int) -> int:
     and just this one where ``os.fork`` or the affinity mask is unavailable."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), count, MAX_PROCESSES)
+    return min(len(os.sched_getaffinity(0)), count)
 
 
 def run(task, names: list, order: list, processes: int, passthrough: tuple = ()):

@@ -222,6 +222,33 @@ def test_eulersum_exact_output_beyond_digit_limit(capsys):
         assert Fraction(out.strip()) == expected
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-string digit limit")
+def test_outside_input_is_parsed_under_the_digit_limit(tmp_path, capsys):
+    """main lifts the digit limit for the command's own numbers only: an
+    oversized --t or table: value is still rejected, and the limit is back
+    after every command."""
+    limit = sys.get_int_max_str_digits()
+    table = tmp_path / "big.json"
+    table.write_text(f"[{'1' * 5000}]")
+    rejected = [
+        (["triangle", "--f", "linear:1,0", "--t", "1" * 5000 + "/3", "--rows", "1"],
+         "error: bad t value"),
+        (["triangle", "--f", f"table:{table}", "--rows", "1"], "error: malformed fspec"),
+    ]
+    for argv, message in rejected:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err.startswith(message)) == (2, "", True)
+        assert sys.get_int_max_str_digits() == limit
+    for argv, code in [
+        (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], 2),
+        (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "3000"], 0),
+        (["verify", "--suite", "wf", "--f", "linear:1,0", "--max-n", "2"], 0),
+    ]:
+        assert run_cli(argv, capsys)[0] == code
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_eulersum_decimal_classic_euler_sum(capsys):
     # sum_{n<=10^5} H_n^(2)/n^2, whose limit is 7 pi^4/360 = 1.8940656...
     code, out, _ = run_cli(

@@ -240,11 +240,19 @@ def test_euler_sum_floor_matches_exact_sum(spec, r, N, mode, k):
     assert _floor_or_error(euler_sum_floor, spec, r, N, mode, unit) == want
 
 
-def test_euler_sum_floor_on_a_digit_boundary():
+def test_euler_sum_floor_on_a_digit_boundary(monkeypatch):
     # 1/5 = 0.2 exactly: no enclosure of it floors to one tenth, so the
-    # exact fallback decides.
+    # exact fallback decides after the first one.
+    from fstirling import eulersum
+
+    enclosures = []
+    enclose = eulersum._enclose
+    monkeypatch.setattr(eulersum, "_enclose", lambda *args: enclosures.append(args)
+                        or enclose(*args))
     assert euler_sum_floor(linear(5, 0), 1, 1, "fzeta", 10) == 2
+    assert len(enclosures) == 1
     assert euler_sum_floor(linear(5, 0), 1, 1, "fzeta", 10 ** 12) == 2 * 10 ** 11
+    assert len(enclosures) == 2
 
 
 def test_euler_sum_floor_square_of_interval_around_zero():
