@@ -18,9 +18,10 @@ and ``--t`` once for every command, before it lifts the int-to-string digit
 limit for the command's work.  The command process leaves through
 ``console_main``, without interpreter teardown.
 
-Only argument parsing, the f parser and the report writer are imported up
-front; each command imports the modules it runs, so a cheap command does not
-load the verification suites.
+Every command's document is laid out here, through one CSV writer and one
+JSON writer; the library modules only compute.  Only argument parsing, the f
+parser and the report writer are imported up front; each command imports the
+modules it runs, so a cheap command does not load the verification suites.
 """
 
 from __future__ import annotations
@@ -96,12 +97,38 @@ def _emit(chunks, path: str | None):
             sys.stdout.write("\n")
 
 
+def _check_decimal(args, polynomial: bool):
+    """--decimal renders a rational: no symbolic f or t, nor a ``polynomial`` method."""
+    if args.decimal is not None and (polynomial or args.spec.symbolic or not args.tp.is_constant()):
+        raise UsageError("--decimal needs numeric f and t, and a method other than subst")
+
+
 def _render_scalar(value, decimal: int | None) -> str:
     if isinstance(value, LaurentPoly) and value.is_constant():
         value = value.constant_value()
-    if decimal is not None and isinstance(value, Fraction):
-        return _fixed_str(value.numerator * 10 ** decimal // value.denominator, decimal)
-    return str(value)
+    if decimal is None:
+        return str(value)
+    return _fixed_str(value.numerator * 10 ** decimal // value.denominator, decimal)
+
+
+def _csv_text(header, rows) -> str:
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_chunks(args, fields: dict, items):
+    """A command's JSON document as ``json_text`` lays it out: the f and t of
+    ``args``, then ``fields``, whose last value is an empty list that
+    ``items`` fill, written an item at a time."""
+    yield json_text({"f": args.spec.render(), "t": render_t(args.tp), **fields})[:-len("[]\n}")]
+    yield from json_list_chunks((json_text(item, 2) for item in items), 1)
+    yield "\n}"
 
 
 def cmd_triangle(args) -> int:
@@ -109,11 +136,15 @@ def cmd_triangle(args) -> int:
 
     spec, tp = args.spec, args.tp
     if args.kind == "s1":
-        tri = stirling.s1_triangle(spec, tp, args.rows)
+        rows = stirling.s1_triangle(spec, tp, args.rows).entries
     else:
-        entries = tuple(stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1))
-        tri = stirling.Triangle(spec, tp, args.rows, entries)
-    _emit(tri.json_chunks() if args.format == "json" else (tri.to_csv(),), args.output)
+        rows = [stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1)]
+    if args.format == "json":
+        chunks = _json_chunks(args, {"rows": []}, ([render_value(e) for e in row] for row in rows))
+    else:
+        chunks = (_csv_text(("n", "k", "entry"), ((n, k, str(e)) for n, row in enumerate(rows)
+                                                   for k, e in enumerate(row))),)
+    _emit(chunks, args.output)
     return 0
 
 
@@ -125,6 +156,7 @@ def cmd_harmonic(args) -> int:
     spec, tp = args.spec, args.tp
     if args.p < 1:
         raise UsageError("order p must be >= 1")
+    _check_decimal(args, args.method == "subst")
     if args.method == "direct":
         value = fharmonic.fharmonic_direct(spec, args.p, args.n, tp ** args.p)
     elif args.method == "ftilde":
@@ -142,34 +174,18 @@ def cmd_convpoly(args) -> int:
 
     if args.format == "json" and args.decimal is not None:
         raise UsageError("--decimal applies only to --format csv")
+    _check_decimal(args, False)
     spec, tp = args.spec, args.tp
     tri = stirling.s1_triangle(spec, tp, args.x_max)
-    rows = []
-    for n in range(args.n_max + 1):
-        for x in range(n + 1, args.x_max + 1):
-            value = convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri)
-            rows.append((n, x, value))
+    rows = [(n, x, convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri))
+            for n in range(args.n_max + 1) for x in range(n + 1, args.x_max + 1)]
     if args.format == "json":
-        payload = {
-            "f": spec.render(),
-            "t": render_t(tp),
-            "variant": args.variant,
-            "values": [
-                {"n": n, "x": x, "value": render_value(v)} for n, x, v in rows
-            ],
-        }
-        text = json_text(payload)
+        chunks = _json_chunks(args, {"variant": args.variant, "values": []},
+                              ({"n": n, "x": x, "value": render_value(v)} for n, x, v in rows))
     else:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "x", "value"])
-        for n, x, v in rows:
-            writer.writerow([n, x, _render_scalar(v, args.decimal)])
-        text = buf.getvalue()
-    _emit((text,), args.output)
+        chunks = (_csv_text(("n", "x", "value"),
+                            ((n, x, _render_scalar(v, args.decimal)) for n, x, v in rows)),)
+    _emit(chunks, args.output)
     return 0
 
 
@@ -249,9 +265,8 @@ _TRANSFORMS = ("numeric f", "modified-number transforms need numeric f values")
 # - body(spec, tp, n) returns the reports at depth n.
 SUITE_TABLE = {
     "s1-oracle": (12, (), _s1_oracle),  # brute force; stirling.ORACLE_CAP is 15
-    "s2-geom": (8, (), lambda spec, tp, n: [
-        stirling.s2_geom_transform_check(spec, tp, m, k)
-        for m in range(n + 1) for k in range(6)]),
+    "s2-geom": (8, (), lambda spec, tp, n: stirling.s2_geom_transform_checks(
+        spec, tp, range(n + 1), range(6))),
     "s2star-ogf": (NO_CAP, (_TRANSFORMS,), lambda spec, tp, n: [
         stirling.s2star_ogf_check(spec, k, n) for k in range(5)]),
     "s2star-egf": (8, (_TRANSFORMS,), lambda spec, tp, n: [
@@ -308,10 +323,9 @@ def run_suite(name: str, spec, t, max_n: int) -> list[Report]:
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r} (choose from {', '.join(SUITES)})")
     names = SUITES if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise UsageError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
 
     def suite_output(name: str) -> tuple:
         """A suite's console lines, whether it failed, and its reports' JSON texts."""
@@ -346,8 +360,7 @@ def cmd_verify(args) -> int:
         texts += suite_texts
     if args.output:
         # The text of json.dumps(reports, indent=2), written a report at a time.
-        with open(args.output, "w") as fh:
-            fh.writelines(json_list_chunks(texts))
+        _emit(json_list_chunks(texts), args.output)
     return 1 if failed else 0
 
 

@@ -10,8 +10,6 @@ the series transforms are forward-difference coefficients (``_newton``).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +18,7 @@ from typing import Dict, List, NamedTuple
 from .factorial import TParam, bang_f, bang_ft, check_config
 from .fspec import FSpec, eval_f, f_pairs
 from .laurent import LaurentPoly
-from .report import Report, json_list_chunks, json_text, render_t, render_value
+from .report import Report
 
 ORACLE_CAP = 15
 
@@ -39,24 +37,6 @@ class Triangle(NamedTuple):
         if n > self.rows:
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
-
-    def json_chunks(self):
-        """The JSON text of {"f", "t", "rows"} as ``json_text`` lays it out,
-        in pieces of one row each."""
-        head = json_text({"f": self.spec.render(), "t": render_t(self.t), "rows": []})
-        yield head[:-len("[]\n}")]
-        yield from json_list_chunks(
-            (json_text([render_value(e) for e in row], 2) for row in self.entries), 1)
-        yield "\n}"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "k", "entry"])
-        for n, row in enumerate(self.entries):
-            for k, e in enumerate(row):
-                writer.writerow([n, k, str(e)])
-        return buf.getvalue()
 
 
 # First-kind rows built so far per (spec, t).  Rows are
@@ -195,33 +175,39 @@ def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
 
 
 def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int) -> Report:
-    """Coefficient-wise check in z of the finite geometric-series transform:
+    """The geometric-transform report at depth n for power k."""
+    return s2_geom_transform_checks(spec, t, [n], [k])[0]
 
-        sum_{j<=n} f(j)^k t^(-jk) z^j
-            = sum_j c(k,j) z^j D_z^j[(1 - z^(n+1))/(1 - z)],
 
-    with connection coefficients c(k,j) = s2_diff_coeff(k, j) summed over
-    j <= n.  When f is a degree-d polynomial in n and t = 1 the coefficients
-    vanish for j > dk, truncating the sum to the column index; general f and
-    t need the full range, read off the left side by ``_newton``.  The right
-    side takes exact symbolic derivatives of the expanded geometric polynomial.
+def s2_geom_transform_checks(spec: FSpec, t: TParam, ms, ks) -> list:
+    """Coefficient-wise checks in z of the finite geometric-series transform
+
+        sum_{j<=m} f(j)^k t^(-jk) z^j
+            = sum_j c(k,j) z^j D_z^j[(1 - z^(m+1))/(1 - z)],
+
+    one report per m in ``ms`` (outer) and k in ``ks`` (inner), with the
+    connection coefficients c(k,j) = s2_diff_coeff(k, j) read off the left
+    side by ``_newton`` (for f of degree d in n at t = 1 they vanish for
+    j > dk).  D_z^j[sum_{i<=m} z^i] = sum_i perm(i, j) z^(i-j), so degree d
+    of the right side is sum_{j<=d} c(k,j) perm(d, j) whatever m is: one
+    difference table per k serves every m.
     """
     tp = check_config(spec, t)
-    report = Report(
-        "s2-geom-transform", {"f": spec.render(), "t": tp, "n": n, "k": k}
-    )
-    lhs = _powers(spec, tp, k, n + 1)
-    rhs = [LaurentPoly.constant("t", 0)] * (n + 1)
-    for j, coeff in enumerate(_newton(lhs)):
-        if coeff.is_zero():
-            continue
-        # D_z^j[sum_{i<=n} z^i] = sum_i perm(i, j) z^(i-j); the z^j prefactor
-        # moves the contribution back to degree i.
-        for i in range(j, n + 1):
-            rhs[i] = rhs[i] + coeff * math.perm(i, j)
-    for d in range(n + 1):
-        report.check((n, k, d), lhs[d], rhs[d])
-    return report
+    tables = []
+    for k in ks:
+        lhs = _powers(spec, tp, k, max(ms) + 1)
+        coeffs = [(j, c) for j, c in enumerate(_newton(lhs)) if not c.is_zero()]
+        rhs = [sum((c * math.perm(d, j) for j, c in coeffs if j <= d), LaurentPoly.constant("t", 0))
+               for d in range(len(lhs))]
+        tables.append((k, lhs, rhs))
+    reports = []
+    for m in ms:
+        for k, lhs, rhs in tables:
+            report = Report("s2-geom-transform", {"f": spec.render(), "t": tp, "n": m, "k": k})
+            for d in range(m + 1):
+                report.check((m, k, d), lhs[d], rhs[d])
+            reports.append(report)
+    return reports
 
 
 def _reciprocal_powers(spec: FSpec, k: int, width: int) -> list:

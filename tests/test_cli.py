@@ -175,6 +175,16 @@ def test_json_output_is_the_standard_indent_2_text(argv, tmp_path, capsys):
     assert text == json.dumps(json.loads(text), indent=2)
 
 
+def test_documents_are_the_recorded_bytes(capsys):
+    """triangle of both kinds and convpoly, CSV and JSON: stdout byte for byte
+    as recorded in tests/data/golden_outputs.json."""
+    with open(os.path.join(ROOT, "tests", "data", "golden_outputs.json")) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 22
+    for command, text in golden.items():
+        assert run_cli(command.split(), capsys) == (0, text, ""), command
+
+
 def test_convpoly_table(capsys):
     code, out, _ = run_cli(
         ["convpoly", "--f", "linear:1,0", "--t", "1", "--variant", "sigma",
@@ -321,6 +331,9 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+DECIMAL_NEEDS_A_RATIONAL = "--decimal needs numeric f and t, and a method other than subst"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["triangle", "--f", "linear:1,0", "--t", "0", "--rows", "3"], "t must be nonzero"),
     (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], "order p must be >= 1"),
@@ -331,7 +344,19 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
       "--decimal", "4"], "--decimal applies only to --format csv"),
     (["harmonic", "--f", "linear:2,1", "--p", "2", "--n", "3", "--method", "subst",
       "--t", "1"], "--t does not apply to --method subst, which works at t = u^p"),
-], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal", "subst-t"])
+    (["convpoly", "--f", "linear:1,0", "--t", "symbolic", "--n-max", "1", "--x-max", "3",
+      "--decimal", "3"], DECIMAL_NEEDS_A_RATIONAL),
+    (["convpoly", "--f", "qpow:1", "--n-max", "1", "--x-max", "3", "--decimal", "3"],
+     DECIMAL_NEEDS_A_RATIONAL),
+    (["harmonic", "--f", "linear:1,0", "--p", "2", "--n", "3", "--method", "subst",
+      "--decimal", "3"], DECIMAL_NEEDS_A_RATIONAL),
+    (["harmonic", "--f", "linear:1,0", "--t", "symbolic", "--p", "2", "--n", "3",
+      "--decimal", "3"], DECIMAL_NEEDS_A_RATIONAL),
+    (["harmonic", "--f", "qpow:1", "--p", "2", "--n", "0", "--decimal", "3"],
+     DECIMAL_NEEDS_A_RATIONAL),
+], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal", "subst-t",
+        "convpoly-decimal-symbolic-t", "convpoly-decimal-symbolic-f", "subst-decimal",
+        "harmonic-decimal-symbolic-t", "harmonic-decimal-symbolic-f"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")

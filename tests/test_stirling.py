@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from fstirling import stirling
+from fstirling.cli import run_suite
 from fstirling.factorial import check_config
 from fstirling.fspec import FSpecError, eval_f, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
+from fstirling.report import Report, json_text
 from fstirling.stirling import (
     s1_column_closed_forms,
     s1_entry_oracle,
@@ -192,6 +194,33 @@ def test_geom_transform(spec, t):
         for k in range(4):
             rep = s2_geom_transform_check(spec, t, n, k)
             assert rep.passed, rep.failures[:3]
+
+
+def _geom_report_by_depth(spec, t, n, k):
+    """The geometric-transform report at depth n, its right side built from
+    the difference coefficients of the first n + 1 powers alone."""
+    tp = check_config(spec, t)
+    report = Report("s2-geom-transform", {"f": spec.render(), "t": tp, "n": n, "k": k})
+    lhs = stirling._powers(spec, tp, k, n + 1)
+    rhs = [LaurentPoly.constant("t", 0)] * (n + 1)
+    for j, coeff in enumerate(stirling._newton(lhs)):
+        if not coeff.is_zero():
+            for i in range(j, n + 1):
+                rhs[i] = rhs[i] + coeff * math.perm(i, j)
+    for d in range(n + 1):
+        report.check((n, k, d), lhs[d], rhs[d])
+    return report
+
+
+@pytest.mark.parametrize("spec,t", [(linear(2, 1), Fraction(3, 2)), (linear(2, 1), "t"),
+                                    (TABLE, 1)])
+def test_geom_suite_shares_one_table_per_k(spec, t):
+    suite = [json_text(r.to_json()) for r in run_suite("s2-geom", spec, t, 8)]
+    assert len(suite) == 9 * 6
+    assert suite == [json_text(s2_geom_transform_check(spec, t, m, k).to_json())
+                     for m in range(9) for k in range(6)]
+    assert suite == [json_text(_geom_report_by_depth(spec, t, m, k).to_json())
+                     for m in range(9) for k in range(6)]
 
 
 def test_s2star_anchor():
