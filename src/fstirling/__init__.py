@@ -18,7 +18,7 @@ _HOMES = {
     "laurent": ("LaurentPoly",),
     "report": ("CheckCell", "Report"),
     "series": ("TruncSeries", "geometric_minus_one_over"),
-    "stirling": ("Triangle", "s1_entry_oracle", "s1_triangle", "s2_entry", "s2star_entry"),
+    "stirling": ("Triangle", "s1_entry_oracle", "s1_triangle", "s2star_entry"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -3,7 +3,6 @@
     fstirling triangle  --kind s1|s2 --f <dsl> --t <t> --rows N [--format json|csv]
     fstirling harmonic  --f <dsl> --t <t> --p P --n N [--method direct|ftilde|roots]
                         [--decimal K]
-    fstirling harmonic  --f <dsl> --p P --n N --method subst [--decimal K]
     fstirling convpoly  --f <dsl> --t <t> --variant sigma|sigma~ --n-max N --x-max X
                         [--format csv [--decimal K] | --format json]
     fstirling eulersum  --f <dsl> --r R --N TERMS --mode harmonic_over_f|fzeta|fzeta2r [--decimal K]
@@ -85,10 +84,23 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _emit(chunks, path: str | None):
-    """Write the text pieces ``chunks`` to ``path``, or to stdout ending in a newline."""
+    """Write the text pieces ``chunks`` to ``path``, or to stdout ending in a newline.
+    ``path`` is opened before the first piece is made.  An error while they are
+    made removes the file only if this call created it: a path that was
+    already there (a report, ``/dev/stdout``) stays."""
     if path:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        created = not os.path.lexists(path)
+        try:
+            fh = open(path, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException:
+            if created and os.path.isfile(path):
+                os.remove(path)
+            raise
     else:
         last = ""
         for last in chunks:
@@ -97,10 +109,10 @@ def _emit(chunks, path: str | None):
             sys.stdout.write("\n")
 
 
-def _check_decimal(args, polynomial: bool):
-    """--decimal renders a rational: no symbolic f or t, nor a ``polynomial`` method."""
-    if args.decimal is not None and (polynomial or args.spec.symbolic or not args.tp.is_constant()):
-        raise UsageError("--decimal needs numeric f and t, and a method other than subst")
+def _check_decimal(args):
+    """--decimal renders a rational: no symbolic f or t."""
+    if args.decimal is not None and (args.spec.symbolic or not args.tp.is_constant()):
+        raise UsageError("--decimal needs numeric f and t")
 
 
 def _render_scalar(value, decimal: int | None) -> str:
@@ -151,20 +163,16 @@ def cmd_triangle(args) -> int:
 def cmd_harmonic(args) -> int:
     from . import fharmonic
 
-    if args.method == "subst" and args.t is not None:
-        raise UsageError("--t does not apply to --method subst, which works at t = u^p")
     spec, tp = args.spec, args.tp
     if args.p < 1:
         raise UsageError("order p must be >= 1")
-    _check_decimal(args, args.method == "subst")
+    _check_decimal(args)
     if args.method == "direct":
         value = fharmonic.fharmonic_direct(spec, args.p, args.n, tp ** args.p)
     elif args.method == "ftilde":
         value = fharmonic.harmonic_via_ftilde(spec, tp, args.p, args.n)
-    elif args.method == "roots":
-        value = fharmonic.harmonic_via_roots(spec, tp, args.p, args.n)
     else:
-        value = fharmonic.harmonic_via_subst(spec, args.p, args.n)
+        value = fharmonic.harmonic_via_roots(spec, tp, args.p, args.n)
     _emit((_render_scalar(value, args.decimal),), args.output)
     return 0
 
@@ -174,7 +182,7 @@ def cmd_convpoly(args) -> int:
 
     if args.format == "json" and args.decimal is not None:
         raise UsageError("--decimal applies only to --format csv")
-    _check_decimal(args, False)
+    _check_decimal(args)
     spec, tp = args.spec, args.tp
     tri = stirling.s1_triangle(spec, tp, args.x_max)
     rows = [(n, x, convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri))
@@ -339,28 +347,34 @@ def cmd_verify(args) -> int:
         texts = [json_text(r.to_json(), 1) for r in reports] if args.output else []
         return "\n".join(lines), failed, texts
 
-    processes = 1
-    if args.may_fork and len(names) > 1:
-        from . import pool
-
-        processes = pool.processes_for(len(names))
-    if processes > 1:
-        # Compile the suites' modules once, before the workers are forked.
-        _load_suite_modules()
-        # The two slowest suites start first, so neither is left to run alone.
-        order = sorted(range(len(names)), key=lambda i: names[i] not in SLOWEST_SUITES)
-        outputs = pool.run(suite_output, names, order, processes, (UsageError, FSpecError))
-    else:
-        outputs = map(suite_output, names)
     failed = False
-    texts = []
-    for console, suite_failed, suite_texts in outputs:
-        print(console)
-        failed |= suite_failed
-        texts += suite_texts
+
+    def report_texts():
+        """Run the suites, print their console lines and yield their reports' texts."""
+        nonlocal failed
+        outputs = map(suite_output, names)
+        if args.may_fork and len(names) > 1:
+            from . import pool
+
+            processes = pool.processes_for(len(names))
+            if processes > 1:
+                # Compile the suites' modules once, before the workers are forked.
+                _load_suite_modules()
+                # The two slowest suites start first, so neither is left to run alone.
+                order = sorted(range(len(names)), key=lambda i: names[i] not in SLOWEST_SUITES)
+                outputs = pool.run(suite_output, names, order, processes,
+                                   (UsageError, FSpecError))
+        for console, suite_failed, suite_texts in outputs:
+            print(console)
+            failed |= suite_failed
+            yield from suite_texts
+
     if args.output:
-        # The text of json.dumps(reports, indent=2), written a report at a time.
-        _emit(json_list_chunks(texts), args.output)
+        # The text of json.dumps(reports, indent=2), written a report at a time
+        # to a file opened before the first suite runs.
+        _emit(json_list_chunks(report_texts()), args.output)
+    else:
+        list(report_texts())  # runs the suites; their texts are empty without --output
     return 1 if failed else 0
 
 
@@ -391,10 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, decimal=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--method", choices=["direct", "ftilde", "roots", "subst"],
-                   default="direct")
-    # None tells an explicit --t, which subst rejects, from the default 1.
-    p.set_defaults(func=cmd_harmonic, t=None)
+    p.add_argument("--method", choices=["direct", "ftilde", "roots"], default="direct")
+    p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("convpoly", help="tabulate convolution polynomial analogs")
     common(p, decimal=True)
@@ -445,7 +457,7 @@ def main(argv=None) -> int:
         if "t" in args:  # every command but eulersum
             from .factorial import check_config
 
-            args.tp = check_config(args.spec, _parse_t("1" if args.t is None else args.t))
+            args.tp = check_config(args.spec, _parse_t(args.t))
         with digits_unlimited():
             code = args.func(args)
         sys.stdout.flush()

@@ -90,8 +90,9 @@ def harmonic_via_subst(spec: FSpec, p: int, n: int) -> LaurentPoly:
     substitution parameter u (so fractional powers of t never appear), by the
     ftilde route, whose cost grows more slowly in p than the roots grid's.
 
-    The result is a Laurent polynomial in u; the harmonic-routes suite
-    compares it with the direct sum at t = u^p.
+    The result is a Laurent polynomial in u.  It serves the ``subst`` cells
+    of the harmonic-routes suite, which compare it with the direct sum at
+    t = u^p; the CLI has no method for it.
     """
     return harmonic_via_ftilde(spec, check_config(spec, "u"), p, n)
 

@@ -26,8 +26,6 @@ ORACLE_CAP = 15
 class Triangle(NamedTuple):
     """Dense triangle of either kind: entry(n, k) for 0 <= k <= n <= rows."""
 
-    spec: FSpec
-    t: LaurentPoly
     rows: int
     entries: tuple  # tuple of row tuples, row n has n+1 LaurentPoly entries
 
@@ -71,7 +69,7 @@ def s1_triangle(spec: FSpec, t: TParam, N: int) -> Triangle:
             else:
                 row.append(scale * above + left)
         rows.append(tuple(row))
-    return Triangle(spec, tp, N, tuple(rows[: N + 1]))
+    return Triangle(N, tuple(rows[: N + 1]))
 
 
 def s1_entry_oracle(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
@@ -146,13 +144,6 @@ def s2_row(spec: FSpec, t: TParam, n: int, width: int) -> tuple:
     return tuple(row)
 
 
-def s2_entry(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
-    """Second-kind entry (n, k), from s2_row."""
-    if n < 0 or k < 0:
-        raise ValueError("need n, k >= 0")
-    return s2_row(spec, t, n, k + 1)[k]
-
-
 def _newton(g: list) -> list:
     """Newton's forward-difference coefficients of g at 0: Delta^j[g](0)/j!
     for j < len(g), by repeated differencing."""
@@ -168,15 +159,10 @@ def s2_diff_coeff(spec: FSpec, t: TParam, k: int, j: int) -> LaurentPoly:
     coefficients: Delta^j[g](0)/j! with g(m) = f(m)^k t^(-mk) (g(0) read as
     0^k).  This is the form that expands g(i) in falling factorials of i;
     for f(n) = n at t = 1 it reduces to the classical Stirling numbers of
-    the second kind, unlike the per-term 1/j! weighting of s2_entry."""
+    the second kind, unlike the per-term 1/j! weighting of s2_row."""
     if k < 0 or j < 0:
         raise ValueError("need k, j >= 0")
     return _newton(_powers(spec, check_config(spec, t), k, j + 1))[j]
-
-
-def s2_geom_transform_check(spec: FSpec, t: TParam, n: int, k: int) -> Report:
-    """The geometric-transform report at depth n for power k."""
-    return s2_geom_transform_checks(spec, t, [n], [k])[0]
 
 
 def s2_geom_transform_checks(spec: FSpec, t: TParam, ms, ks) -> list:

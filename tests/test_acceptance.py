@@ -75,7 +75,7 @@ def test_criterion_03_geometric_transform(announce):
     for spec, t in matrix():
         for n in range(9):
             for k in range(6):
-                rep = stirling.s2_geom_transform_check(spec, t, n, k)
+                [rep] = stirling.s2_geom_transform_checks(spec, t, [n], [k])
                 assert rep.passed, (spec.render(), t, n, k, rep.failures[:2])
     announce["ok"] = True
 

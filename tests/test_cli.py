@@ -112,7 +112,7 @@ def test_second_kind_json_matches_first_kind_t_and_s2_entry(t_arg, t_json, capsy
     assert payloads["s2"]["t"] == payloads["s1"]["t"] == t_json
     t = Fraction(3, 2) if t_json == "3/2" else "t"
     assert payloads["s2"]["rows"] == [
-        [render_value(stirling.s2_entry(linear(2, 1), t, n, k)) for k in range(n + 1)]
+        [render_value(stirling.s2_row(linear(2, 1), t, n, k + 1)[k]) for k in range(n + 1)]
         for n in range(5)
     ]
 
@@ -127,13 +127,15 @@ def test_harmonic_value_and_decimal(capsys):
     assert out.strip() == "1.361111"
 
 
-def test_harmonic_t_defaults_to_one_and_subst_works_at_u(capsys):
+def test_harmonic_t_defaults_to_one_and_subst_is_not_a_method(capsys):
     base = ["harmonic", "--f", "linear:2,1", "--p", "2", "--n", "3"]
     for method in ("direct", "ftilde", "roots"):
         argv = base + ["--method", method]
         assert run_cli(argv, capsys) == run_cli(argv + ["--t", "1"], capsys) == (0, "1891/11025\n", "")
-    assert run_cli(base + ["--method", "subst"], capsys) == (
-        0, "1/9*u^2 + 1/25*u^4 + 1/49*u^6\n", "")
+    code, out, err = run_cli(base + ["--method", "subst"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: argument --method: invalid choice: 'subst'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("p", [4, 6])
@@ -331,7 +333,8 @@ def test_zero_base_to_a_negative_power_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-DECIMAL_NEEDS_A_RATIONAL = "--decimal needs numeric f and t, and a method other than subst"
+DECIMAL_NEEDS_A_RATIONAL = "--decimal needs numeric f and t"
+NO_DIR = "/nonexistent/d/x.csv"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -342,21 +345,22 @@ DECIMAL_NEEDS_A_RATIONAL = "--decimal needs numeric f and t, and a method other 
     (["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "0"], "N must be >= 1"),
     (["convpoly", "--f", "linear:2,1", "--n-max", "1", "--x-max", "3", "--format", "json",
       "--decimal", "4"], "--decimal applies only to --format csv"),
-    (["harmonic", "--f", "linear:2,1", "--p", "2", "--n", "3", "--method", "subst",
-      "--t", "1"], "--t does not apply to --method subst, which works at t = u^p"),
     (["convpoly", "--f", "linear:1,0", "--t", "symbolic", "--n-max", "1", "--x-max", "3",
       "--decimal", "3"], DECIMAL_NEEDS_A_RATIONAL),
     (["convpoly", "--f", "qpow:1", "--n-max", "1", "--x-max", "3", "--decimal", "3"],
      DECIMAL_NEEDS_A_RATIONAL),
-    (["harmonic", "--f", "linear:1,0", "--p", "2", "--n", "3", "--method", "subst",
-      "--decimal", "3"], DECIMAL_NEEDS_A_RATIONAL),
     (["harmonic", "--f", "linear:1,0", "--t", "symbolic", "--p", "2", "--n", "3",
       "--decimal", "3"], DECIMAL_NEEDS_A_RATIONAL),
     (["harmonic", "--f", "qpow:1", "--p", "2", "--n", "0", "--decimal", "3"],
      DECIMAL_NEEDS_A_RATIONAL),
-], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal", "subst-t",
-        "convpoly-decimal-symbolic-t", "convpoly-decimal-symbolic-f", "subst-decimal",
-        "harmonic-decimal-symbolic-t", "harmonic-decimal-symbolic-f"])
+    (["triangle", "--f", "linear:1,0", "--rows", "3", "--output", NO_DIR],
+     f"cannot write {NO_DIR}: No such file or directory"),
+    (["verify", "--suite", "all", "--f", "linear:1,0", "--output", os.curdir],
+     f"cannot write {os.curdir}: Is a directory"),
+], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal",
+        "convpoly-decimal-symbolic-t", "convpoly-decimal-symbolic-f",
+        "harmonic-decimal-symbolic-t", "harmonic-decimal-symbolic-f", "triangle-output-missing-dir",
+        "verify-output-is-a-directory"])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -369,6 +373,25 @@ def test_a_library_value_error_is_not_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(fharmonic, "fharmonic_direct", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["harmonic", "--f", "linear:1,0", "--p", "2", "--n", "3"])
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new-path", "existing-file"])
+def test_a_command_that_fails_removes_only_the_output_file_it_created(
+        existed, tmp_path, capsys, monkeypatch):
+    """verify opens --output before its first suite runs. When a later suite
+    fails with an error, it removes a file it created and leaves a file that
+    was already there."""
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(fharmonic, "corollary_expansions_check", broken)
+    report = tmp_path / "report.json"
+    if existed:
+        report.write_text("[]\n")
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "--suite", "all", "--f", "linear:1,0", "--output", str(report)])
+    assert capsys.readouterr().out.splitlines()[-1].split()[1] == "wf"
+    assert report.exists() == existed
 
 
 def test_verify_single_suite_exit_zero(capsys):
@@ -453,9 +476,11 @@ def test_a_closed_pipe_exits_141_without_a_traceback(argv):
     (["verify", "--suite", "wf", "--f", "linear:2,1", "--t", "3/2", "--output"], 0),
     (["verify", "--suite", "prop1", "--f", "linear:1,0", "--max-n", "4", "--output"], 1),
     (["eulersum", "--f", "linear:1", "--r", "2", "--N", "5", "--output"], 2),
+    (["verify", "--suite", "all", "--f", "linear:2,1", "--output", os.curdir], 2),
     # argparse prints the help text and ends the command with nothing flushed.
     (["eulersum", "--help"], 0),
-], ids=["exit-0", "verify-exit-0", "verify-prop1-exit-1", "bad-spec-exit-2", "help-exit-0"])
+], ids=["exit-0", "verify-exit-0", "verify-prop1-exit-1", "bad-spec-exit-2",
+        "verify-output-is-a-directory-exit-2", "help-exit-0"])
 def test_both_entries_and_main_give_the_same_exit(argv, code, tmp_path, capsys):
     """Exit code, stdout, stderr and --output file of each entry, and of
     `main(argv)`, which returns its code in-process."""

@@ -17,8 +17,8 @@ from fstirling.stirling import (
     s1_entry_oracle,
     s1_triangle,
     s2_diff_coeff,
-    s2_entry,
-    s2_geom_transform_check,
+    s2_geom_transform_checks,
+    s2_row,
     s2star_egf_check,
     s2star_entry,
     s2star_ogf_check,
@@ -114,12 +114,12 @@ def test_column_closed_forms():
 
 def test_s2_entry_anchors():
     spec = linear(1, 0)
-    assert s2_entry(spec, 1, 1, 1) == 1
-    assert s2_entry(spec, 1, 2, 2) == 0  # -2*1/1! + 4/2!
+    assert s2_row(spec, 1, 1, 2)[1] == 1
+    assert s2_row(spec, 1, 2, 3)[2] == 0  # -2*1/1! + 4/2!
     for n in range(1, 5):
-        assert s2_entry(spec, 1, n, 0) == 0
+        assert s2_row(spec, 1, n, 1)[0] == 0
     # n=0: full alternating sum -1 + 3 - 3/2 + 1/6
-    assert s2_entry(spec, 1, 0, 3) == Fraction(2, 3)
+    assert s2_row(spec, 1, 0, 4)[3] == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("spec,t", MATRIX + [(qpow(-1), 2)])
@@ -192,7 +192,7 @@ def test_s2star_rejects_symbolic_f():
 def test_geom_transform(spec, t):
     for n in range(6):
         for k in range(4):
-            rep = s2_geom_transform_check(spec, t, n, k)
+            [rep] = s2_geom_transform_checks(spec, t, [n], [k])
             assert rep.passed, rep.failures[:3]
 
 
@@ -217,7 +217,7 @@ def _geom_report_by_depth(spec, t, n, k):
 def test_geom_suite_shares_one_table_per_k(spec, t):
     suite = [json_text(r.to_json()) for r in run_suite("s2-geom", spec, t, 8)]
     assert len(suite) == 9 * 6
-    assert suite == [json_text(s2_geom_transform_check(spec, t, m, k).to_json())
+    assert suite == [json_text(s2_geom_transform_checks(spec, t, [m], [k])[0].to_json())
                      for m in range(9) for k in range(6)]
     assert suite == [json_text(_geom_report_by_depth(spec, t, m, k).to_json())
                      for m in range(9) for k in range(6)]
