@@ -2,7 +2,7 @@
 every order p, and arithmetic in Z[zeta_p] for prime p.
 
 ``twisted_product_coeff`` (root-of-unity route) and ``power_coeffs`` (row
-polynomial route) run on plain ints, one packed int per Laurent coefficient.
+polynomial route) run on the opaque ints of ``laurent.pack_entries``.
 ``CyclotomicElem``, the reference ring, works on the power basis 1, zeta, ...,
 zeta^(p-2) modulo 1 + zeta + ... + zeta^(p-1) = 0, so its p must be prime.
 """
@@ -10,9 +10,9 @@ zeta^(p-2) modulo 1 + zeta + ... + zeta^(p-1) = 0, so its p must be prime.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .laurent import LaurentPoly, _make, _pack, _unpack
+from .laurent import LaurentPoly, pack_entries
 
 
 def is_prime(p: int) -> bool:
@@ -125,31 +125,6 @@ class CyclotomicElem:
         return f"CyclotomicElem(p={self.p}, {self.coords})"
 
 
-def _pack_entries(entries, factors: int):
-    """``[(k, packed entries[k])]`` over the nonzero LaurentPoly entries (one
-    variable t), and ``read(value, r)``: the LaurentPoly of a packed product
-    of r <= ``factors`` of them.
-
-    The entries are written t^L a_k(t) / D over a common denominator D and
-    lowest exponent L, and each integer polynomial a_k is packed into one int.
-    With S = sum_k ||a_k||_1, a product of r entries, each times a root of
-    unity, has t-coefficients of at most S^r <= S^factors: a slot holding
-    S^factors and a sign never overflows.
-    """
-    terms = [(k, e) for k, e in enumerate(entries) if e.num]
-    var = next((e.var for _, e in terms if not e.is_constant()), "t")
-    den = lcm(*(e.den for _, e in terms))
-    lo = min((e.lo for _, e in terms), default=0)
-    polys = [(k, [0] * (e.lo - lo) + [c * (den // e.den) for c in e.num]) for k, e in terms]
-    length = max((len(a) for _, a in polys), default=1)
-    width = (sum(abs(c) for _, a in polys for c in a) ** factors).bit_length() // 8 + 1
-
-    def read(value: int, r: int) -> LaurentPoly:
-        return _make(var, r * lo, _unpack(value, width, r * (length - 1) + 1), den ** r)
-
-    return [(k, _pack(a, width)) for k, a in polys], read
-
-
 def _grow(cells: dict, packed, ring: int, twist: int, bottom: int, top: int) -> dict:
     """The grid ``cells`` ({w-degree: [packed coefficient of x^r, r < ring]}
     in Z[t][x]/(x^ring - 1)) times sum_k a_k x^(twist (k-1)) w^k, keeping the
@@ -183,7 +158,7 @@ def twisted_product_coeff(p: int, entries) -> LaurentPoly:
     sum_{d|p} mu(p/d) coords[d mod p]: coords[0] - coords[p-1] for prime p.
     """
     order = 2 * p
-    packed, read = _pack_entries(entries[:order + 1], p)
+    packed, read = pack_entries(entries[:order + 1], p)
     ks = [k for k, _ in packed] or [0]
     cells = {0: [1] + [0] * (p - 1)}
     for m in range(p):
@@ -198,7 +173,7 @@ def twisted_product_coeff(p: int, entries) -> LaurentPoly:
 def power_coeffs(p: int, entries) -> list:
     """[w^(p-r)] g^r for r = 1..p, g = sum_k entries[k] w^k: the untwisted grid
     (ring Z[t]) over the same packing, cut at w-degree p - r."""
-    packed, read = _pack_entries(entries[:p], p)
+    packed, read = pack_entries(entries[:p], p)
     cells, out = {0: [1]}, []
     for r in range(1, p + 1):
         cells = _grow(cells, packed, 1, 0, 0, p - r)

@@ -5,8 +5,8 @@ combine them divide and conquer: the plain sums in lowest terms at each node,
 the prefix-weighted sum over each node's lcm denominator, reduced at the root.
 ``euler_sum_floor`` encloses the sum once in fixed point, for ``linear:a,b``
 with a > 0 through an Euler-Maclaurin tail, and sums exactly where that
-enclosure straddles a digit.  This module imports only ``fspec``, so
-the ``eulersum`` command loads no ring, triangle or route module.
+enclosure straddles a digit.  This module imports only ``fspec``; the ``eulersum``
+command also loads ``cli``, ``report`` and ``laurent``, and no triangle or route module.
 """
 
 from __future__ import annotations

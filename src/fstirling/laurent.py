@@ -7,8 +7,9 @@ shares no factor with all of ``num``.  One normalizer builds every result but a
 negation, which keeps these conditions, so equal values have equal fields.  A
 product of two polynomials of two or more terms packs each integer list into
 one int (Kronecker substitution), makes one big-int multiply and unpacks the
-digits; a one-term operand scales the other list directly.  Values are
-immutable by convention and hash by value.
+digits; a one-term operand scales the other list directly, and
+``pack_entries`` packs several values for r-fold products.  Values are
+immutable by convention and hash by value.  No other module reads the layout.
 """
 
 from __future__ import annotations
@@ -82,6 +83,31 @@ def _packed_product(a: tuple, b: tuple) -> list:
     return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
+def pack_entries(entries, factors: int):
+    """``[(k, packed entries[k])]`` over the nonzero LaurentPoly entries (one
+    variable t), and ``read(value, r)``: the LaurentPoly of a packed product
+    of r <= ``factors`` of them.
+
+    The entries are written t^L a_k(t) / D over a common denominator D and
+    lowest exponent L, and each integer polynomial a_k is packed into one int.
+    With S = sum_k ||a_k||_1, a product of r entries, each times a root of
+    unity, has t-coefficients of at most S^r <= S^factors: a slot holding
+    S^factors and a sign never overflows.
+    """
+    terms = [(k, e) for k, e in enumerate(entries) if e.num]
+    var = next((e.var for _, e in terms if not e.is_constant()), "t")
+    den = lcm(*(e.den for _, e in terms))
+    lo = min((e.lo for _, e in terms), default=0)
+    polys = [(k, [0] * (e.lo - lo) + [c * (den // e.den) for c in e.num]) for k, e in terms]
+    length = max((len(a) for _, a in polys), default=1)
+    width = (sum(abs(c) for _, a in polys for c in a) ** factors).bit_length() // 8 + 1
+
+    def read(value: int, r: int) -> LaurentPoly:
+        return _make(var, r * lo, _unpack(value, width, r * (length - 1) + 1), den ** r)
+
+    return [(k, _pack(a, width)) for k, a in polys], read
+
+
 class LaurentPoly:
     """Dense Laurent polynomial ``sum_i num[i] / den * var^(lo + i)``."""
 
@@ -137,6 +163,11 @@ class LaurentPoly:
     def coeff(self, exponent: int) -> Fraction:
         i = exponent - self.lo
         return Fraction(self.num[i] if 0 <= i < len(self.num) else 0, self.den)
+
+    def cut(self, order: int) -> "LaurentPoly":
+        """This polynomial without its terms of exponent above ``order``."""
+        n = max(order + 1 - self.lo, 0)
+        return self if len(self.num) <= n else _make(self.var, self.lo, self.num[:n], self.den)
 
     # -- coercion ----------------------------------------------------------
 

@@ -31,13 +31,9 @@ def render_value(v) -> object:
     """Canonical text/JSON form for rationals and polynomials.  A value past
     Python's int-to-string digit limit renders only inside ``digits_unlimited``,
     which callers enter once per document."""
-    if isinstance(v, LaurentPoly):
-        if not v.num:
-            return "0"
-        if v.lo or len(v.num) > 1:
-            return v.to_json()
-        # A single coefficient is kept in lowest terms.
-        return str(v.num[0]) if v.den == 1 else f"{v.num[0]}/{v.den}"
+    if isinstance(v, LaurentPoly) and not v.is_constant():
+        return v.to_json()
+    # A constant's text is its value in lowest terms.
     return str(v)
 
 

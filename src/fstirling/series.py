@@ -13,15 +13,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly, _make
+from .laurent import LaurentPoly
 
 
 def _cut(var: str, order: int, poly: LaurentPoly) -> "TruncSeries":
     """The series poly + O(var^(order+1)); ``poly`` has no negative exponent."""
     s = object.__new__(TruncSeries)
-    keep = max(order + 1 - poly.lo, 0)
-    s.var, s.order = var, order
-    s.poly = poly if len(poly.num) <= keep else _make(var, poly.lo, poly.num[:keep], poly.den)
+    s.var, s.order, s.poly = var, order, poly.cut(order)
     return s
 
 

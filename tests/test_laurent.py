@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fstirling.laurent import LaurentPoly
+from fstirling.laurent import LaurentPoly, pack_entries
 from fstirling.report import digits_unlimited
 
 rationals = st.fractions(
@@ -287,3 +287,38 @@ def test_power_edge_cases_and_binary_powering(monkeypatch):
     assert s ** 13 == LaurentPoly("t", {k: math.comb(13, k) for k in range(14)})
     # 13 = 0b1101: three squarings and three multiplies into the result
     assert len(calls) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(), st.integers(min_value=-8, max_value=8))
+def test_cut_drops_the_exponents_above_the_order(a, order):
+    cut = a.cut(order)
+    check_normalized(cut)
+    assert cut.terms == {e: c for e, c in a.terms.items() if e <= order}
+
+
+pack_inputs = st.lists(laurent_polys() | st.just(LaurentPoly("t", {}))
+                       | st.builds(lambda terms: LaurentPoly("t", terms), wide_terms()),
+                       min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pack_inputs, st.integers(min_value=1, max_value=4), st.data())
+def test_packed_products_read_back_as_laurent_products(entries, factors, data):
+    packed, read = pack_entries(entries, factors)
+    assert [k for k, _ in packed] == [k for k, e in enumerate(entries) if e]
+    values = dict(packed)
+    one = LaurentPoly.constant("t", 1)
+    for r in range(1, factors + 1):
+        # A signed sum to the r-th power holds every r-fold product at once.
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(entries),
+                                   max_size=len(entries)))
+        total = sum(signs[k] * v for k, v in packed)
+        power = read(total ** r, r)
+        check_normalized(power)
+        assert power == sum((s * e for s, e in zip(signs, entries)), LaurentPoly("t", {})) ** r
+        if values:
+            ks = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=r, max_size=r))
+            product = read(math.prod(values[k] for k in ks), r)
+            check_normalized(product)
+            assert product == math.prod((entries[k] for k in ks), start=one)

@@ -137,6 +137,38 @@ def test_s2_row_matches_its_defining_sum(spec, t):
             assert (row[k], str(row[k])) == (acc, str(acc)), (n, k)
 
 
+@pytest.mark.parametrize("spec,t", [(linear(2, 1), "t"), (linear(1, 0), Fraction(3, 2)),
+                                    (qpow(1), 1)])
+def test_s2_rows_invert_to_the_powers(spec, t):
+    """Binomial inversion of the defining sum, rows 0..30:
+    sum_{j<=k} C(k, j) entry(n, j) = f(k)^n t^(-kn) / k!, and 0^n at k = 0."""
+    tp = check_config(spec, t)
+    zero = LaurentPoly.constant("t", 0)
+    for n in range(31):
+        row = s2_row(spec, t, n, n + 1)
+        assert row[0] == 0 ** n, n
+        for k in range(1, n + 1):
+            lhs = sum((math.comb(k, j) * row[j] for j in range(k + 1)), zero)
+            assert lhs == eval_f(spec, k) ** n * tp ** (-(k * n)) / math.factorial(k), (n, k)
+
+
+@pytest.mark.parametrize("t,rows", [(Fraction(3, 2), 32), ("t", 24)])
+def test_s1_rows_are_the_pochhammer_coefficients(monkeypatch, t, rows):
+    """sum_k entry(n, k) x^k = x prod_{1<=j<n} (x + f(j) t^(-j)) at x = 0..n,
+    on rows built afresh by the recurrence."""
+    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    spec = linear(2, 1)
+    tp = check_config(spec, t)
+    tri = s1_triangle(spec, t, rows)
+    assert tri.entries[0] == (1,)
+    zero, one = LaurentPoly.constant("t", 0), LaurentPoly.constant("t", 1)
+    for n in range(1, rows + 1):
+        for x in range(n + 1):
+            lhs = sum((e * x ** k for k, e in enumerate(tri.entries[n])), zero)
+            rhs = x * math.prod((x + eval_f(spec, j) * tp ** (-j) for j in range(1, n)), start=one)
+            assert lhs == rhs, (n, x)
+
+
 def test_s2_diff_coeff_reduces_to_classical():
     # classical second kind {n,k}: rows n=0..4
     classical = {(2, 1): 1, (2, 2): 1, (3, 2): 3, (3, 3): 1, (4, 2): 7, (4, 3): 6}
