@@ -56,7 +56,7 @@ def sigma_recurrence_check(spec: FSpec, t: TParam, N_n: int, N_x: int) -> Report
     report = Report(
         "sigma-recurrences", {"f": spec.render(), "t": tp, "N_n": N_n, "N_x": N_x}
     )
-    zero = LaurentPoly.constant("t", 0)
+    zero = LaurentPoly.constant(0)
     for n in range(N_n + 1):
         for x in range(n + 1, N_x + 1):
             fx = eval_f(spec, x)
@@ -69,7 +69,7 @@ def sigma_recurrence_check(spec: FSpec, t: TParam, N_n: int, N_x: int) -> Report
                     if n >= 1
                     else zero
                 )
-                lead = fx1 if variant == "sigma" else LaurentPoly.constant("t", x + 1)
+                lead = fx1 if variant == "sigma" else LaurentPoly.constant(x + 1)
                 lhs = lead * nxt
                 rhs = (x - n) * cur + fx * tp ** (-x) * prev
                 report.check((variant, n, x), lhs, rhs)

@@ -29,7 +29,7 @@ def normalize_t(t: TParam) -> LaurentPoly:
     value = Fraction(t)
     if value == 0:
         raise ValueError("t must be nonzero")
-    return LaurentPoly.constant("t", value)
+    return LaurentPoly.constant(value)
 
 
 def check_config(spec: FSpec, t: TParam) -> LaurentPoly:
@@ -47,14 +47,14 @@ def bang_f(spec: FSpec, n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     if spec.symbolic:
-        acc = LaurentPoly.constant("t", 1)
+        acc = LaurentPoly.constant(1)
         for j in range(1, n + 1):
             acc = acc * eval_f(spec, j)
         return acc
     num = den = 1
     for a, b in f_pairs(spec, 1, n + 1):
         num, den = num * a, den * b
-    return LaurentPoly.constant("t", Fraction(num, den))
+    return LaurentPoly.constant(Fraction(num, den))
 
 
 def bang_ft(spec: FSpec, t: TParam, n: int) -> LaurentPoly:

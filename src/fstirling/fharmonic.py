@@ -37,9 +37,9 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    sums = DIRECT_SUMS.setdefault((spec, p, arg), [LaurentPoly.constant("t", 0)])
+    sums = DIRECT_SUMS.setdefault((spec, p, arg), [LaurentPoly.constant(0)])
     if n >= len(sums):
-        power = LaurentPoly.constant("t", 1) * arg ** (len(sums) - 1)
+        power = LaurentPoly.constant(1) * arg ** (len(sums) - 1)
         for k in range(len(sums), n + 1):
             power = power * arg
             sums.append(sums[-1] + power / eval_f(spec, k) ** p)
@@ -68,7 +68,7 @@ def harmonic_via_ftilde(spec: FSpec, t: TParam, p: int, n: int) -> LaurentPoly:
     """
     row, scale = _row_and_scale(spec, t, p, n)
     inner = power_coeffs(p, row[2:])
-    acc = LaurentPoly.constant("t", 0)
+    acc = LaurentPoly.constant(0)
     for j in range(p):
         acc = acc + inner[p - j - 1] * row[1] ** j * Fraction((-1) ** j * p, p - j)
     return scale * acc
@@ -121,7 +121,7 @@ def wf_table(spec: FSpec, t: TParam, n: int, m_max: int
     harmonics = tuple(fharmonic_direct(spec, k + 1, n, tp ** (k + 1)) for k in range(m_max - 1))
     values: Dict[int, LaurentPoly] = {1: tp ** (-s)}
     for m in range(2, m_max + 1):
-        acc = LaurentPoly.constant("t", 0)
+        acc = LaurentPoly.constant(0)
         for k in range(m - 1):
             fall = math.perm(m - 2, k)
             acc = acc + harmonics[k] * values[m - 1 - k] * Fraction((-1) ** k * fall)
@@ -147,7 +147,7 @@ def s1_from_wf_check(spec: FSpec, t: TParam, N: int) -> Report:
             lhs = tri.entry(n + 1, k)
             line1 = nf * w[k] / Fraction(math.factorial(k - 1))
             report.check((n, k, "w-column"), lhs, line1)
-            acc = LaurentPoly.constant("t", 0)
+            acc = LaurentPoly.constant(0)
             for j in range(k - 1):
                 acc = acc + tri.entry(n + 1, k - 1 - j) * F[j] * Fraction((-1) ** j, k - 1)
             if k == 1:

@@ -172,4 +172,4 @@ def eval_f(spec: FSpec, n: int) -> LaurentPoly:
     if spec.symbolic and n >= 1:
         return LaurentPoly.monomial(Q_VAR, n + spec.params[1])
     num, den = next(f_pairs(spec, n, n + 1))
-    return LaurentPoly.constant("t", Fraction(num, den))
+    return LaurentPoly.constant(Fraction(num, den))

@@ -3,13 +3,14 @@
 A value is ``(var, lo, num, den)``, FLINT's ``fmpq_poly`` layout: the
 coefficient of ``var^(lo + i)`` is ``num[i] / den``, ``num`` is a tuple of ints
 with no zero at either end (empty, with ``lo == 0``, for zero) and ``den > 0``
-shares no factor with all of ``num``.  One normalizer builds every result but a
+shares no factor with all of ``num``; a constant, zero included, has ``var``
+None and takes the other operand's.  One normalizer builds every result but a
 negation, which keeps these conditions, so equal values have equal fields.  A
 product of two polynomials of two or more terms packs each integer list into
 one int (Kronecker substitution), makes one big-int multiply and unpacks the
-digits; a one-term operand scales the other list directly, and
-``pack_entries`` packs several values for r-fold products.  Values are
-immutable by convention and hash by value.  No other module reads the layout.
+digits; a one-term operand scales the other list, and ``pack_entries`` packs
+values for r-fold products.  Values are immutable by convention and hash by
+value.  No other module reads the layout.
 """
 
 from __future__ import annotations
@@ -29,17 +30,20 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"cannot coerce {type(c).__name__} to a rational")
 
 
-def _make(var: str, lo: int, num, den: int) -> "LaurentPoly":
-    """The one normalizer: trim zeros from both ends, divide out the content gcd."""
+def _make(var: str | None, lo: int, num, den: int) -> "LaurentPoly":
+    """The one normalizer: trim end zeros, divide out the content gcd, drop a constant's var."""
     start, stop = 0, len(num)
     while stop and not num[stop - 1]:
         stop -= 1
     while start < stop and not num[start]:
         start += 1
     num = tuple(num[start:stop])
+    lo = lo + start if num else 0
+    if var is None and (lo or len(num) > 1):
+        raise ValueError("a non-constant Laurent polynomial needs a variable")
     g = gcd(den, *num)
     p = object.__new__(LaurentPoly)
-    p.var, p.lo, p.den = var, lo + start if num else 0, den // g
+    p.var, p.lo, p.den = var if lo or len(num) > 1 else None, lo, den // g
     p.num = num if g == 1 else tuple(c // g for c in num)
     return p
 
@@ -85,7 +89,7 @@ def _packed_product(a: tuple, b: tuple) -> list:
 
 def pack_entries(entries, factors: int):
     """``[(k, packed entries[k])]`` over the nonzero LaurentPoly entries (one
-    variable t), and ``read(value, r)``: the LaurentPoly of a packed product
+    variable, or constants), and ``read(value, r)``: the LaurentPoly of a packed product
     of r <= ``factors`` of them.
 
     The entries are written t^L a_k(t) / D over a common denominator D and
@@ -95,7 +99,7 @@ def pack_entries(entries, factors: int):
     S^factors and a sign never overflows.
     """
     terms = [(k, e) for k, e in enumerate(entries) if e.num]
-    var = next((e.var for _, e in terms if not e.is_constant()), "t")
+    var = next((e.var for _, e in terms if e.var), None)
     den = lcm(*(e.den for _, e in terms))
     lo = min((e.lo for _, e in terms), default=0)
     polys = [(k, [0] * (e.lo - lo) + [c * (den // e.den) for c in e.num]) for k, e in terms]
@@ -113,7 +117,7 @@ class LaurentPoly:
 
     __slots__ = ("var", "lo", "num", "den")
 
-    def __init__(self, var: str, terms: Mapping[int, Scalar] | None = None):
+    def __init__(self, var: str | None, terms: Mapping[int, Scalar] | None = None):
         terms = {int(e): _as_fraction(c) for e, c in (terms or {}).items()}
         lo, den = min(terms, default=0), lcm(*(c.denominator for c in terms.values()))
         num = [0] * (max(terms, default=-1) - lo + 1)
@@ -125,9 +129,10 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, var: str, c) -> "LaurentPoly":
+    def constant(cls, c) -> "LaurentPoly":
+        """The constant ``c``: a value with no variable."""
         c = _as_fraction(c)
-        return _make(var, 0, (c.numerator,), c.denominator)
+        return _make(None, 0, (c.numerator,), c.denominator)
 
     @classmethod
     def monomial(cls, var: str, exponent: int, coeff=1) -> "LaurentPoly":
@@ -149,11 +154,12 @@ class LaurentPoly:
         return not self.num
 
     def is_constant(self) -> bool:
-        return not self.num or (self.lo == 0 and len(self.num) == 1)
+        """Zero or a nonzero multiple of ``var^0``: exactly the values with no variable."""
+        return self.var is None
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
-        if not self.is_constant():
+        if self.var is not None:
             raise ValueError(f"{self} is not constant")
         return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
@@ -173,19 +179,17 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if other.var != self.var and not (other.is_constant() or self.is_constant()):
+            if self.var and other.var and other.var != self.var:
                 raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
             return other
-        return LaurentPoly.constant(self.var, other)
+        return LaurentPoly.constant(other)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        var = self.var if not self.is_constant() or other.is_constant() else other.var
         if not (self.num and other.num):
-            p = self if self.num else other
-            return _make(var, p.lo, p.num, p.den)
+            return self if self.num else other
         g = gcd(self.den, other.den)
         m1, m2 = other.den // g, self.den // g
         lo = min(self.lo, other.lo)
@@ -194,7 +198,7 @@ class LaurentPoly:
             out[i] = c * m1
         for i, c in enumerate(other.num, other.lo - lo):
             out[i] += c * m2
-        return _make(var, lo, out, self.den * m1)
+        return _make(self.var or other.var, lo, out, self.den * m1)
 
     __radd__ = __add__
 
@@ -211,7 +215,6 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        var = self.var if not self.is_constant() or other.is_constant() else other.var
         a, b = self.num, other.num
         if len(a) == 1:
             a, b = b, a
@@ -219,7 +222,7 @@ class LaurentPoly:
             num = [c * b[0] for c in a]
         else:
             num = _packed_product(a, b) if a and b else []
-        return _make(var, self.lo + other.lo, num, self.den * other.den)
+        return _make(self.var or other.var, self.lo + other.lo, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -243,7 +246,7 @@ class LaurentPoly:
             # A monomial's power is one more monomial: no multiplies.
             return _make(self.var, self.lo * exponent, (self.num[0] ** exponent,),
                          self.den ** exponent)
-        result = LaurentPoly.constant(self.var, 1)
+        result = LaurentPoly.constant(1)
         base = self
         e = exponent
         while e:
@@ -258,14 +261,14 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            return self.var is None and self.constant_value() == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self.lo == other.lo and self.num == other.num and self.den == other.den
-                and (self.var == other.var or self.is_constant()))
+        return (self.var == other.var and self.lo == other.lo and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        if self.is_constant():
+        if self.var is None:
             return hash(self.constant_value())
         return hash((self.var, self.lo, self.num, self.den))
 
@@ -305,5 +308,5 @@ class LaurentPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
-        """Canonical JSON form: {"var": ..., "terms": {"<exp>": "<rational>"}}."""
+        """Canonical JSON form: {"var": <None for a constant>, "terms": {"<exp>": "<p/q>"}}."""
         return {"var": self.var, "terms": {str(e): c for e, c in self._coeff_texts()}}

@@ -31,7 +31,7 @@ class Triangle(NamedTuple):
 
     def entry(self, n: int, k: int) -> LaurentPoly:
         if k < 0 or k > n:
-            return LaurentPoly.constant("t", 0)
+            return LaurentPoly.constant(0)
         if n > self.rows:
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
@@ -54,8 +54,8 @@ def s1_triangle(spec: FSpec, t: TParam, N: int) -> Triangle:
     if N < 0:
         raise ValueError("N must be >= 0")
     tp = check_config(spec, t)
-    zero = LaurentPoly.constant("t", 0)
-    rows = S1_ROWS.setdefault((spec, tp), [(LaurentPoly.constant("t", 1),)])
+    zero = LaurentPoly.constant(0)
+    rows = S1_ROWS.setdefault((spec, tp), [(LaurentPoly.constant(1),)])
     for n in range(len(rows), N + 1):
         scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else None
         prev = rows[n - 1]
@@ -81,13 +81,13 @@ def s1_entry_oracle(spec: FSpec, t: TParam, n: int, k: int) -> LaurentPoly:
     if n > ORACLE_CAP:
         raise ValueError(f"oracle subset enumeration capped at n <= {ORACLE_CAP}")
     if n == 0:
-        return LaurentPoly.constant("t", 1 if k == 0 else 0)
+        return LaurentPoly.constant(1 if k == 0 else 0)
     if k == 0:
-        return LaurentPoly.constant("t", 0)
+        return LaurentPoly.constant(0)
     values = [eval_f(spec, j) * tp ** (-j) for j in range(1, n)]
-    acc = LaurentPoly.constant("t", 0)
+    acc = LaurentPoly.constant(0)
     for subset in itertools.combinations(values, n - k):
-        prod = LaurentPoly.constant("t", 1)
+        prod = LaurentPoly.constant(1)
         for v in subset:
             prod = prod * v
         acc = acc + prod
@@ -107,7 +107,7 @@ def s1_column_closed_forms(spec: FSpec, t: TParam, N: int) -> Report:
         rhs = bang_ft(spec, tp, n)
         report.check((n, 1), lhs, rhs)
         for k in range(2, n + 2):
-            acc = LaurentPoly.constant("t", 0)
+            acc = LaurentPoly.constant(0)
             for j in range(1, n + 1):
                 acc = acc + tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / bang_f(spec, j)
             rhs_k = bang_ft(spec, tp, n) * acc
@@ -118,7 +118,7 @@ def s1_column_closed_forms(spec: FSpec, t: TParam, N: int) -> Report:
 def _powers(spec: FSpec, tp: LaurentPoly, k: int, width: int) -> list:
     """g(m) = f(m)^k t^(-mk) for 0 <= m < width, with g(0) read as 0^k
     (0^0 = 1): f(0) is never evaluated."""
-    return [LaurentPoly.constant("t", 1 if k == 0 else 0)] + [
+    return [LaurentPoly.constant(1 if k == 0 else 0)] + [
         eval_f(spec, m) ** k * tp ** (-(m * k)) for m in range(1, width)]
 
 
@@ -131,7 +131,7 @@ def s2_row(spec: FSpec, t: TParam, n: int, width: int) -> tuple:
     if n < 0:
         raise ValueError("need n >= 0")
     terms = _powers(spec, check_config(spec, t), n, width)
-    var = next((term.var for term in terms if not term.is_constant()), "t")
+    var = next((term.var for term in terms if term.var), None)
     coeffs = [term.terms for term in terms]
     row = []
     for k in range(width):
@@ -172,18 +172,21 @@ def s2_geom_transform_checks(spec: FSpec, t: TParam, ms, ks) -> list:
             = sum_j c(k,j) z^j D_z^j[(1 - z^(m+1))/(1 - z)],
 
     one report per m in ``ms`` (outer) and k in ``ks`` (inner), with the
-    connection coefficients c(k,j) = s2_diff_coeff(k, j) read off the left
-    side by ``_newton`` (for f of degree d in n at t = 1 they vanish for
-    j > dk).  D_z^j[sum_{i<=m} z^i] = sum_i perm(i, j) z^(i-j), so degree d
-    of the right side is sum_{j<=d} c(k,j) perm(d, j) whatever m is: one
-    difference table per k serves every m.
+    connection coefficients c(k,j) = s2_diff_coeff(k, j) read off
+    ``_powers`` by ``_newton`` (for f of degree d in n at t = 1 they vanish
+    for j > dk).  D_z^j[sum_{i<=m} z^i] = sum_i perm(i, j) z^(i-j), so degree
+    d of the right side is sum_{j<=d} c(k,j) perm(d, j) whatever m is: one
+    difference table per k serves every m.  The left side is (f(d) t^(-d))^k
+    from ``eval_f``, so a wrong ``_powers`` fails the check.
     """
     tp = check_config(spec, t)
     tables = []
     for k in ks:
-        lhs = _powers(spec, tp, k, max(ms) + 1)
-        coeffs = [(j, c) for j, c in enumerate(_newton(lhs)) if not c.is_zero()]
-        rhs = [sum((c * math.perm(d, j) for j, c in coeffs if j <= d), LaurentPoly.constant("t", 0))
+        lhs = [LaurentPoly.constant(0 ** k)] + [
+            (eval_f(spec, d) * tp ** -d) ** k for d in range(1, max(ms) + 1)]
+        coeffs = [(j, c) for j, c in enumerate(_newton(_powers(spec, tp, k, len(lhs))))
+                  if not c.is_zero()]
+        rhs = [sum((c * math.perm(d, j) for j, c in coeffs if j <= d), LaurentPoly.constant(0))
                for d in range(len(lhs))]
         tables.append((k, lhs, rhs))
     reports = []
@@ -214,14 +217,15 @@ def s2star_entry(spec: FSpec, k: int, j: int) -> Fraction:
 def s2star_ogf_check(spec: FSpec, k: int, N: int) -> Report:
     """Ordinary-series transform: for each n <= N, check
 
-        1/f(n)^k = sum_{j=1}^{n} s2star(k, j) j! C(n, j).
+        1/f(n)^k = sum_{j=1}^{n} s2star(k, j) j! C(n, j),
+
+    the left side from ``f_pairs``, the right from ``_reciprocal_powers``.
     """
     report = Report("s2star-ogf", {"f": spec.render(), "k": k, "N": N})
-    lhs = _reciprocal_powers(spec, k, N + 1)
-    coeffs = _newton(lhs)
-    for n in range(1, N + 1):
+    coeffs = _newton(_reciprocal_powers(spec, k, N + 1))
+    for n, (num, den) in enumerate(f_pairs(spec, 1, N + 1), 1):
         rhs = sum((coeffs[j] * math.perm(n, j) for j in range(1, n + 1)), Fraction(0))
-        report.check((n,), lhs[n], rhs)
+        report.check((n,), Fraction(num, den) ** -k, rhs)
     return report
 
 
@@ -230,19 +234,22 @@ def s2star_egf_check(spec: FSpec, r: int, N: int) -> Report:
 
         sum_n F_n^(r)(1) z^n / n! = sum_j s2star(r, j) z^j e^z (j+1+z)/(j+1).
 
-    The modified-number upper index is taken as r on both sides.
+    The modified-number upper index is taken as r on both sides.  The partial
+    sums F_n^(r)(1) come from ``f_pairs``, the s2star values from
+    ``_reciprocal_powers``.
     """
     from .series import TruncSeries
 
     report = Report("s2star-egf", {"f": spec.render(), "r": r, "N": N})
     if N < 1:
         return report
-    terms = _reciprocal_powers(spec, r, N + 1)
-    lhs = [h / math.factorial(n) for n, h in enumerate(itertools.accumulate(terms))]
+    sums = itertools.accumulate((Fraction(num, den) ** -r for num, den in f_pairs(spec, 1, N + 1)),
+                                initial=Fraction(0))
+    lhs = [h / math.factorial(n) for n, h in enumerate(sums)]
     rhs = TruncSeries.constant("z", Fraction(0), N)
     ez = TruncSeries.exp("z", 1, N)
     z = TruncSeries.variable("z", N)
-    for j, coeff in enumerate(_newton(terms)):
+    for j, coeff in enumerate(_newton(_reciprocal_powers(spec, r, N + 1))):
         if coeff == 0:
             continue
         rhs = rhs + ez * (z + (j + 1)) * Fraction(1, j + 1) * coeff * z ** j

@@ -39,7 +39,7 @@ def test_bang_f_and_bang_ft():
 
 def _bang_f_by_products(spec, n):
     """bang_f as a running product of ``eval_f`` values, the reference."""
-    acc = LaurentPoly.constant("t", 1)
+    acc = LaurentPoly.constant(1)
     for j in range(1, n + 1):
         acc = acc * eval_f(spec, j)
     return acc

@@ -73,32 +73,90 @@ def test_monomial_inverse_and_negative_powers():
 
 
 def test_constant_coercion_across_variables():
-    cq = LaurentPoly.constant("q", Fraction(3, 2))
+    cq = LaurentPoly.constant(Fraction(3, 2))
     pt = LaurentPoly.monomial("t", 2)
-    assert (cq * pt).var == "t"
+    assert cq.var is None and (cq * pt).var == "t"
     assert (cq + pt).coeff(0) == Fraction(3, 2)
     with pytest.raises(ValueError):
         LaurentPoly.variable("q") * LaurentPoly.variable("t")
 
-    # A constant takes the other operand's variable, whatever variable it was
-    # built in, so callers never choose one.
+    # A constant has no variable, whichever constructor built it, and takes the
+    # other operand's, so callers never choose one.
     m = LaurentPoly.monomial("u", 3, Fraction(-2, 5))
-    ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b]
+    neg = {e: -x for e, x in m.terms.items()}
+    inv = {-e: 1 / x for e, x in m.terms.items()}
     for value in (Fraction(3, 2), Fraction(-7), Fraction(0)):
-        consts = {var: LaurentPoly.constant(var, value) for var in ("q", "t", "u")}
-        for a in consts.values():
-            for b in consts.values():
-                assert a == b and hash(a) == hash(b)
-        for c in consts.values():
-            for op in ops:
-                pairs = ((c, m, consts["u"], m), (m, c, m, consts["u"]))
-                for left, right, left_u, right_u in pairs:
-                    if op is ops[3] and right.is_zero():
-                        continue
-                    got, want = op(left, right), op(left_u, right_u)
-                    assert want.var == "u"
-                    assert (got.var, got.lo, got.num, got.den) == (
-                        want.var, want.lo, want.num, want.den), (c.var, value)
+        c = LaurentPoly.constant(value)
+        built = [LaurentPoly(var, {0: value}) for var in ("q", "t", "u")]
+        built += [LaurentPoly.monomial(var, 0, value) for var in ("q", "t", "u")]
+        for b in built:
+            assert (b.var, b.lo, b.num, b.den) == (None, c.lo, c.num, c.den)
+        k = {0: value} if value else {}
+        cases = [(c + m, ref_add(k, m.terms)), (m + c, ref_add(k, m.terms)),
+                 (c - m, ref_add(k, neg)), (m - c, ref_add(m.terms, {0: -value})),
+                 (c * m, ref_mul(k, m.terms)), (m * c, ref_mul(k, m.terms)),
+                 (c / m, ref_mul(k, inv))]
+        if value:
+            cases.append((m / c, ref_mul(m.terms, {0: 1 / value})))
+        for got, want in cases:
+            want = {e: x for e, x in want.items() if x}
+            assert got.terms == want, value
+            assert got.var == ("u" if set(want) - {0} else None), value
+
+
+ring_values = (laurent_polys("t") | laurent_polys("u") | rationals.map(LaurentPoly.constant)
+               | st.just(LaurentPoly.constant(0)))
+
+
+def check_variable_invariant(p: LaurentPoly, var):
+    """A result has a variable exactly when it is not a constant, and then it
+    is ``var``, the variable of its non-constant operand; a constant equals,
+    and hashes like, its Fraction."""
+    assert p.is_constant() == (p.var is None) == (set(p.terms) <= {0})
+    if p.is_constant():
+        c = p.constant_value()
+        assert p == c and hash(p) == hash(c)
+    else:
+        assert p.var == var
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_values, ring_values, rationals)
+@example(LaurentPoly.monomial("t", 2), LaurentPoly.constant(0), Fraction(0))
+def test_a_constant_has_no_variable(a, b, c):
+    check_variable_invariant(a, a.var)
+    ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y]
+    if b.is_monomial():
+        ops.append(lambda x, y: x / y)
+    if a.var and b.var and a.var != b.var:
+        for op in ops:
+            with pytest.raises(ValueError):
+                op(a, b)
+        return
+    for op in ops:
+        check_variable_invariant(op(a, b), a.var or b.var)
+    for op in ops[:3]:
+        check_variable_invariant(op(b, a), a.var or b.var)
+        check_variable_invariant(op(a, c), a.var)
+        check_variable_invariant(op(c, a), a.var)
+    if c:
+        check_variable_invariant(a / c, a.var)
+    if a.is_monomial():
+        check_variable_invariant(a.inverse(), a.var)
+        check_variable_invariant(c / a, a.var)
+    for e in range(-3 if a.is_monomial() else 0, 4):
+        check_variable_invariant(a ** e, a.var)
+    for order in range(-3, 4):
+        check_variable_invariant(a.cut(order), a.var)
+
+
+def test_a_non_constant_needs_a_variable():
+    assert LaurentPoly(None, {0: Fraction(2, 3)}) == Fraction(2, 3)
+    assert LaurentPoly.monomial(None, 0, 5) == 5 and LaurentPoly(None, {}) == 0
+    for build in (lambda: LaurentPoly(None, {1: 1}), lambda: LaurentPoly(None, {0: 1, 2: 3}),
+                  lambda: LaurentPoly.monomial(None, -2), lambda: LaurentPoly.variable(None)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_string_rendering():
@@ -191,7 +249,7 @@ def rendered_terms(draw):
 def check_rendering(terms: dict, var: str):
     p = LaurentPoly(var, terms)
     assert str(p) == ref_str(terms, var)
-    assert p.to_json() == {"var": var,
+    assert p.to_json() == {"var": var if set(terms) - {0} else None,
                            "terms": {str(e): str(c) for e, c in sorted(terms.items())}}
 
 
@@ -253,7 +311,7 @@ def test_power_matches_repeated_multiplication(a):
         power = a ** e
         check_normalized(power)
         assert power.terms == expected, e
-        assert power.var == "t"
+        assert power.var == ("t" if set(expected) - {0} else None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +320,7 @@ def test_power_matches_repeated_multiplication(a):
 def test_monomial_power_matches_repeated_multiplication(var, exponent, coeff):
     m = LaurentPoly.monomial(var, exponent, coeff)
     for e in range(-7, 8):
-        expected = LaurentPoly.constant(var, 1)
+        expected = LaurentPoly.constant(1)
         for _ in range(abs(e)):
             expected = expected * (m if e > 0 else m.inverse())
         power = m ** e
@@ -308,7 +366,7 @@ def test_packed_products_read_back_as_laurent_products(entries, factors, data):
     packed, read = pack_entries(entries, factors)
     assert [k for k, _ in packed] == [k for k, e in enumerate(entries) if e]
     values = dict(packed)
-    one = LaurentPoly.constant("t", 1)
+    one = LaurentPoly.constant(1)
     for r in range(1, factors + 1):
         # A signed sum to the r-th power holds every r-fold product at once.
         signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(entries),

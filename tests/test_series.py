@@ -128,7 +128,7 @@ def repeated_product(coeffs, e, order):
 
 def _power_cases():
     t = LaurentPoly.variable("t")
-    lp0 = LaurentPoly.constant("t", 0)
+    lp0 = LaurentPoly.constant(0)
     return [
         [Fraction(3, 2), Fraction(-1), Fraction(0), Fraction(2, 3), Fraction(5), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(1, 7),
