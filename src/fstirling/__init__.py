@@ -10,11 +10,10 @@ from importlib import import_module
 _HOMES = {
     "cyclotomic": ("CyclotomicElem", "is_prime"),
     "eulersum": ("euler_sum_numeric",),
-    "factorial": ("bang_f", "bang_ft", "check_config"),
     "fharmonic": ("fharmonic_direct", "harmonic_via_ftilde", "harmonic_via_roots",
                   "harmonic_via_subst", "wf_table"),
-    "fspec": ("FSpec", "FSpecError", "eval_f", "linear", "parse_fspec", "poly", "qpow",
-              "table"),
+    "fspec": ("FSpec", "FSpecError", "bang_f", "bang_ft", "check_config", "eval_f", "linear",
+              "parse_fspec", "poly", "qpow", "table"),
     "laurent": ("LaurentPoly",),
     "report": ("CheckCell", "Report"),
     "series": ("TruncSeries", "geometric_minus_one_over"),

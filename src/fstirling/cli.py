@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from importlib import import_module
 
-from .fspec import FSpecError, parse_fspec
+from .fspec import FSpecError, check_config, parse_fspec
 from .laurent import LaurentPoly
 from .report import (Report, digits_unlimited, json_list_chunks, json_text, render_t,
                      render_value)
@@ -453,8 +453,6 @@ def main(argv=None) -> int:
         # Outside input is parsed and checked before the digit limit is lifted.
         args.spec = parse_fspec(args.f)
         if "t" in args:  # every command but eulersum
-            from .factorial import check_config
-
             args.tp = check_config(args.spec, _parse_t(args.t))
         with digits_unlimited():
             code = args.func(args)

@@ -13,8 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .factorial import bang_f
-from .fspec import FSpec, eval_f, linear
+from .fspec import FSpec, bang_f, eval_f, linear
 from .laurent import LaurentPoly
 from .report import Report
 from .series import TruncSeries, geometric_minus_one_over

@@ -16,8 +16,7 @@ from typing import Dict, List, Tuple
 from .cyclotomic import power_coeffs, twisted_product_coeff
 # Re-exported: the benchmark tracer times the kernel under this module's name.
 from .eulersum import euler_sum_numeric
-from .factorial import bang_f, bang_ft
-from .fspec import FSpec, eval_f
+from .fspec import FSpec, bang_f, bang_ft, eval_f
 from .laurent import LaurentPoly
 from .report import Report
 from .stirling import s1_triangle
@@ -39,7 +38,7 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
         raise ValueError("order p must be >= 1")
     sums = DIRECT_SUMS.setdefault((spec, p, arg), [LaurentPoly.constant(0)])
     if n >= len(sums):
-        power = LaurentPoly.constant(1) * arg ** (len(sums) - 1)
+        power = arg ** (len(sums) - 1)
         for k in range(len(sums), n + 1):
             power = power * arg
             sums.append(sums[-1] + power / eval_f(spec, k) ** p)

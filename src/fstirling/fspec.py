@@ -1,4 +1,5 @@
-"""Declarative specification of the coefficient function f.
+"""The coefficient function f: its DSL, its values, its finite products
+n!_f and n!_{f(t)}, and the check of an (f, t) configuration.
 
 An FSpec describes f: {1, 2, ...} -> rationals (or q-power monomials) in one
 of four shapes, with a tiny text DSL for the CLI:
@@ -7,10 +8,18 @@ of four shapes, with a tiny text DSL for the CLI:
     poly:<c0>,<c1>,...    f(n) = c0 + c1*n + c2*n^2 + ...
     qpow:<offset>         f(n) = q^(n+offset), q the formal variable
     qpow:<base>,<offset>  f(n) = base^(n+offset), numeric base
-    table:<path>          f(n) = values[n-1] from a JSON array of rationals
+    table:<path>          f(n) = values[n-1] from a JSON array of numbers
+                          (read from their decimal text) and "p/q" strings
 
 f(n) = 0 is rejected at the point of first use: every downstream sum divides
 by f(k) powers, so a zero value would silently poison results.
+
+The parameter t may be an exact rational, the formal variable itself, or a
+monomial power of a substitution variable (used to realize fractional powers
+of t exactly).  One formal variable at a time: a symbolic q-power f requires a
+numeric t, and vice versa.  ``check_config`` turns each form into one nonzero
+constant or monomial ``LaurentPoly``; every library function that takes t
+takes that value, as ``tp``, and uses it as given.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .laurent import LaurentPoly
 
@@ -70,12 +79,18 @@ def qpow(offset: int, base=None) -> FSpec:
     return FSpec("qpow", (None if base is None else Fraction(base), int(offset)))
 
 def table(values: Sequence, path: str = "<inline>") -> FSpec:
+    if any(isinstance(v, bool) for v in values):
+        raise FSpecError("table contains a boolean value")
     vals = tuple(Fraction(v) for v in values)
     if not vals:
         raise FSpecError("table must be non-empty")
     if any(v == 0 for v in vals):
         raise FSpecError("table contains a zero value")
     return FSpec("table", (), vals, path)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a rational number")
 
 
 def parse_fspec(text: str) -> FSpec:
@@ -100,21 +115,23 @@ def parse_fspec(text: str) -> FSpec:
         if kind == "table":
             import json
 
+            # Numbers are read from their text, as the DSL's are: 0.1 is 1/10.
             with open(rest) as fh:
-                values = json.load(fh)
+                values = json.load(fh, parse_float=Fraction, parse_constant=_reject_constant)
             if not isinstance(values, list):
                 raise FSpecError(f"table file {rest!r} is not a JSON array")
             return table(values, rest)
     except FSpecError:
         raise
-    except (ValueError, TypeError, ZeroDivisionError, OSError) as exc:
-        # TypeError: a table entry that is not a number or a string, such as null
+    except (ValueError, TypeError, ZeroDivisionError, OSError, RecursionError) as exc:
+        # TypeError: a table entry that is not a number or a string, such as null;
+        # RecursionError: a table file nested too deep for the JSON reader
         raise FSpecError(f"malformed fspec {text!r}: {exc}") from exc
     raise FSpecError(f"unknown fspec kind {kind!r}")
 
 
 @lru_cache(maxsize=64)
-def _int_coeffs(spec: FSpec) -> Tuple[Tuple[int, ...], int]:
+def int_coeffs(spec: FSpec) -> Tuple[Tuple[int, ...], int]:
     """(c, d) with f(n) = sum_i c[i] n^i / d, for the linear and poly kinds."""
     coeffs = spec.params[::-1] if spec.kind == "linear" else spec.params
     den = lcm(*(c.denominator for c in coeffs))
@@ -124,7 +141,7 @@ def _int_coeffs(spec: FSpec) -> Tuple[Tuple[int, ...], int]:
 def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
     """f(n) for lo <= n < hi as integer pairs (num, den), den > 0, unreduced."""
     if spec.kind in ("linear", "poly"):
-        ints, den = _int_coeffs(spec)
+        ints, den = int_coeffs(spec)
         if spec.kind == "linear":  # one integer add per term
             offset, step = ints
             nums = islice(accumulate(repeat(step), initial=offset + step * lo), hi - lo)
@@ -174,3 +191,45 @@ def eval_f(spec: FSpec, n: int) -> LaurentPoly:
         return LaurentPoly.monomial(Q_VAR, n + spec.params[1])
     num, den = next(f_pairs(spec, n, n + 1))
     return LaurentPoly.constant(Fraction(num, den))
+
+
+TParam = Union[int, Fraction, LaurentPoly, str]
+
+
+def check_config(spec: FSpec, t: TParam) -> LaurentPoly:
+    """t as the library takes it: a rational, a variable name or a
+    ``LaurentPoly``, checked to be a nonzero constant or monomial that obeys
+    the one-formal-variable convention."""
+    if isinstance(t, LaurentPoly):
+        tp = t
+    elif isinstance(t, str):
+        tp = LaurentPoly.variable(t)
+    else:
+        tp = LaurentPoly.constant(t)
+    if not tp.is_monomial():  # a nonzero constant is a monomial at exponent 0
+        raise ValueError("t must be a nonzero constant or a monomial")
+    if spec.symbolic and not tp.is_constant():
+        raise FSpecError(
+            "symbolic q-power f requires numeric t (bivariate coefficients rejected)"
+        )
+    return tp
+
+
+def bang_f(spec: FSpec, n: int) -> LaurentPoly:
+    """prod_{j=1}^{n} f(j); the empty product for n = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if spec.symbolic:
+        acc = LaurentPoly.constant(1)
+        for j in range(1, n + 1):
+            acc = acc * eval_f(spec, j)
+        return acc
+    num = den = 1
+    for a, b in f_pairs(spec, 1, n + 1):
+        num, den = num * a, den * b
+    return LaurentPoly.constant(Fraction(num, den))
+
+
+def bang_ft(spec: FSpec, tp: LaurentPoly, n: int) -> LaurentPoly:
+    """bang_f(n) scaled by t^(-n(n+1)/2)."""
+    return bang_f(spec, n) * tp ** (-(n * (n + 1) // 2))

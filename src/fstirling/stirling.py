@@ -15,8 +15,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple
 
-from .factorial import bang_f, bang_ft
-from .fspec import FSpec, eval_f, f_pairs
+from .fspec import FSpec, bang_f, bang_ft, eval_f, f_pairs
 from .laurent import LaurentPoly
 from .report import Report
 

@@ -14,8 +14,7 @@ from fractions import Fraction
 import pytest
 
 from fstirling import cli, convpoly, eulersum, fharmonic, stirling
-from fstirling.factorial import check_config
-from fstirling.fspec import linear, parse_fspec, qpow
+from fstirling.fspec import check_config, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from fstirling import cli, fharmonic, stirling
 from fstirling.cli import main
-from fstirling.factorial import check_config
-from fstirling.fspec import FSpecError, linear, parse_fspec
+from fstirling.fspec import FSpecError, check_config, linear, parse_fspec
 from fstirling.laurent import LaurentPoly
 from fstirling.report import digits_unlimited, render_value
 
@@ -348,6 +347,22 @@ def _bad_table(name):
     return ["triangle", "--f", f, "--rows", "2"], f"malformed fspec {f!r}: {reason.value}"
 
 
+# Table files the test writes to its working directory; the deep one is too
+# large to keep in tests/data.
+TABLE_FILES = {"bool.json": "[true, 2, 3]", "infinity.json": "[Infinity, 2]",
+               "deep.json": "[" * 100_000 + "]" * 100_000}
+
+
+def _written_table(name, message):
+    return ["triangle", "--f", f"table:{name}", "--rows", "2"], message
+
+
+def _too_deep():
+    with pytest.raises(RecursionError) as reason:  # the interpreter's wording
+        json.loads(TABLE_FILES["deep.json"])
+    return _written_table("deep.json", f"malformed fspec 'table:deep.json': {reason.value}")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["triangle", "--f", "linear:1,0", "--t", "0", "--rows", "3"], "t must be nonzero"),
     (["harmonic", "--f", "linear:1,0", "--p", "0", "--n", "3"], "order p must be >= 1"),
@@ -371,14 +386,34 @@ def _bad_table(name):
     _bad_table("table_null.json"),
     _bad_table("table_list.json"),
     _bad_table("table_object.json"),
+    _written_table("bool.json", "table contains a boolean value"),
+    _written_table("infinity.json",
+                   "malformed fspec 'table:infinity.json': Infinity is not a rational number"),
+    _too_deep(),
 ], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal",
         "convpoly-decimal-symbolic-t", "convpoly-decimal-symbolic-f",
         "harmonic-decimal-symbolic-t", "harmonic-decimal-symbolic-f", "triangle-output-missing-dir",
         "verify-output-is-a-directory", "table-null-entry", "table-list-entry",
-        "table-object-entry"])
-def test_bad_input_is_a_usage_error(argv, message, capsys):
+        "table-object-entry", "table-bool-entry", "table-infinity-entry",
+        "table-deep-nesting"])
+def test_bad_input_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in TABLE_FILES.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,entry", [("[0.1, 2, 3]", "1/10"), ("[1e400, 2]", str(10 ** 400))],
+                         ids=["decimal", "exponent"])
+def test_table_numbers_are_read_from_their_text(text, entry, tmp_path, capsys):
+    """A JSON number in a table file is the rational its text writes, as a
+    number in the DSL is, not the float nearest to it."""
+    table = tmp_path / "table.json"
+    table.write_text(text)
+    code, out, err = run_cli(["triangle", "--f", f"table:{table}", "--rows", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert f"2,1,{entry}" in out.splitlines()
 
 
 def test_a_library_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -18,8 +18,7 @@ from fstirling.convpoly import (
     solve_shifted_family,
     stirlingpoly_gf_check,
 )
-from fstirling.factorial import check_config
-from fstirling.fspec import linear, parse_fspec, qpow
+from fstirling.fspec import check_config, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
 from fstirling.series import TruncSeries
 

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstirling.cyclotomic import CyclotomicElem, is_prime, twisted_product_coeff
-from fstirling.factorial import bang_f, check_config
 from fstirling.fharmonic import harmonic_via_roots
-from fstirling.fspec import linear, parse_fspec, poly, qpow
+from fstirling.fspec import bang_f, check_config, linear, parse_fspec, poly, qpow
 from fstirling.laurent import LaurentPoly
 from fstirling.stirling import s1_triangle
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fstirling.factorial import bang_f, bang_ft, check_config
-from fstirling.fspec import FSpecError, eval_f, linear, poly, qpow, table
+from fstirling.fspec import (FSpecError, bang_f, bang_ft, check_config, eval_f, linear, poly,
+                             qpow, table)
 from fstirling.laurent import LaurentPoly
 
 

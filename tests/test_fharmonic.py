@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fstirling import fharmonic
 from fstirling.eulersum import euler_sum_floor, euler_sum_numeric
-from fstirling.factorial import check_config
 from fstirling.fharmonic import (
     corollary_expansions_check,
     fharmonic_direct,
@@ -25,7 +24,7 @@ from fstirling.fharmonic import (
     stirling_harmonic_identity_check,
     wf_table,
 )
-from fstirling.fspec import FSpecError, linear, parse_fspec, poly, qpow, table
+from fstirling.fspec import FSpecError, check_config, linear, parse_fspec, poly, qpow, table
 from fstirling.laurent import LaurentPoly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -143,7 +142,7 @@ def test_prop1_as_printed_residuals_are_the_documented_ones():
 def test_prop1_residual_formula():
     """Residual of the as-printed form equals
     p (-1)^p t^s t^(-ps/(p+1)) [n+1, p+2] / n!_f (in u with t = u^(p(p+1)))."""
-    from fstirling.factorial import bang_f
+    from fstirling.fspec import bang_f
     from fstirling.stirling import s1_triangle
 
     for spec, p in itertools.product(PROP1_SPECS, range(1, 7)):

@@ -17,12 +17,12 @@ from functools import cache
 
 import pytest
 
-from fstirling import (cli, convpoly, cyclotomic, eulersum, factorial, fharmonic, fspec,
-                       laurent, series, stirling)
+from fstirling import (cli, convpoly, cyclotomic, eulersum, fharmonic, fspec, laurent,
+                       series, stirling)
 from fstirling.fspec import parse_fspec
 
-MODULES = (cli, convpoly, cyclotomic, eulersum, factorial, fharmonic, fspec, laurent,
-           series, stirling)
+MODULES = (cli, convpoly, cyclotomic, eulersum, fharmonic, fspec, laurent, series,
+           stirling)
 DEPTH = 8
 NUMERIC = ("linear:2,1", Fraction(3, 2))
 SYMBOLIC = ("linear:2,1", "t")
@@ -92,7 +92,7 @@ def _prefix_weighted_sum(orig):
 KERNELS = {
     "s1_triangle": (stirling, "s1_triangle", _s1_triangle,
                     ("s1-oracle", "harmonic-routes", "wf"), ALL),
-    "bang_f": (factorial, "bang_f",
+    "bang_f": (fspec, "bang_f",
                lambda orig: lambda spec, n: -orig(spec, n) if n == 3 else orig(spec, n),
                ("harmonic-routes", "wf", "convpoly-rec"), ALL),
     "_powers": (stirling, "_powers", lambda orig: lambda *a: _bump(orig(*a), 3),
@@ -142,7 +142,7 @@ def _failures(config, suite):
     """The failing cells of ``suite``, with the row and sum stores emptied first
     and after, as ``cli.main`` empties them for each command."""
     spec = parse_fspec(config[0])
-    tp = factorial.check_config(spec, config[1])
+    tp = fspec.check_config(spec, config[1])
     stirling.S1_ROWS.clear()
     fharmonic.DIRECT_SUMS.clear()
     try:

@@ -1,5 +1,5 @@
-"""The package's public namespace, the boundary of the ring layout, and the
-one place where t is checked."""
+"""The package's public namespace, the boundary of the ring layout, the
+modules' private names, and the one place where t is checked."""
 
 import ast
 import pathlib
@@ -39,6 +39,29 @@ def test_the_layout_scan_sees_imports_and_reads():
         "line 3 reads .num"]
 
 
+def _private_imports(tree):
+    """Each private name imported from a module of this package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fstirling"):
+            yield from (f"line {node.lineno} imports {a.name}"
+                        for a in node.names if a.name.startswith("_"))
+
+
+def test_no_module_imports_another_modules_private_names():
+    uses = {path.name: list(_private_imports(ast.parse(path.read_text())))
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_private_import_scan_sees_both_forms():
+    tree = ast.parse("from .fspec import FSpec, _int_coeffs\n"
+                     "from fstirling.laurent import _make\n"
+                     "from os import _exit\n"
+                     "from . import cli\n")
+    assert sorted(_private_imports(tree)) == ["line 1 imports _int_coeffs", "line 2 imports _make"]
+
+
 def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
@@ -61,13 +84,13 @@ def test_t_is_checked_only_at_the_command_boundary():
     assert [name for name, found in uses.items()
             if any(u.endswith("calls check_config") for u in found)] == ["cli.py"]
     assert [name for name, found in uses.items()
-            if any(u.endswith("TParam") for u in found)] == ["factorial.py"]
+            if any(u.endswith("TParam") for u in found)] == ["fspec.py"]
 
 
 def test_the_t_scan_sees_calls_and_imports():
-    tree = ast.parse("from .factorial import TParam, check_config\n"
+    tree = ast.parse("from .fspec import TParam, check_config\n"
                      "def f(spec, t: TParam):\n"
-                     "    return check_config(spec, t), factorial.check_config(spec, 1)\n")
+                     "    return check_config(spec, t), fspec.check_config(spec, 1)\n")
     assert sorted(_t_uses(tree)) == [
         "line 1 imports TParam", "line 2 names TParam", "line 3 calls check_config",
         "line 3 calls check_config"]

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fstirling import cli
-from fstirling.factorial import check_config
-from fstirling.fspec import linear, parse_fspec, qpow
+from fstirling.fspec import check_config, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
 from fstirling.report import digits_unlimited, json_list_chunks, json_text, render_value
 

@@ -8,8 +8,7 @@ import pytest
 
 from fstirling import stirling
 from fstirling.cli import run_suite
-from fstirling.factorial import check_config
-from fstirling.fspec import FSpecError, eval_f, linear, parse_fspec, qpow
+from fstirling.fspec import FSpecError, check_config, eval_f, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
 from fstirling.report import Report, json_text
 from fstirling.stirling import (
