@@ -12,10 +12,11 @@ Exit codes: 0 success with all checks passing, 1 identity-check failure
 (reports still written), 2 usage or configuration error, 141 (128 + SIGPIPE)
 when the reader of standard output closes it early.  Bad input is rejected
 here, at the boundary; an error inside the library is a program fault and
-exits with its traceback, never with 2.  ``main`` parses and checks ``--f``
-and ``--t`` once for every command, before it lifts the int-to-string digit
-limit for the command's work; the library takes the checked t as given.  The
-command process leaves through ``console_main``, without interpreter teardown.
+exits with its traceback, never with 2.  ``main`` hands the text of ``--f``
+to ``fspec.parse_fspec`` and that of ``--t`` to ``fspec.check_config`` once
+for every command, before it lifts the int-to-string digit limit for the
+command's work; the library takes the checked t as given.  The command
+process leaves through ``console_main``, without interpreter teardown.
 
 Every command's document is laid out here, through one CSV writer and one
 JSON writer; the library modules only compute.  Only argument parsing, the f
@@ -29,7 +30,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 from importlib import import_module
 
 from .fspec import FSpecError, check_config, parse_fspec
@@ -40,18 +40,6 @@ from .report import (Report, digits_unlimited, json_list_chunks, json_text, rend
 
 class UsageError(Exception):
     pass
-
-
-def _parse_t(text: str):
-    if text in ("sym", "symbolic", "t"):
-        return "t"
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad t value {text!r}: {exc}") from exc
-    if not value:
-        raise UsageError("t must be nonzero")
-    return value
 
 
 def _join_negative_t(argv) -> list:
@@ -453,7 +441,7 @@ def main(argv=None) -> int:
         # Outside input is parsed and checked before the digit limit is lifted.
         args.spec = parse_fspec(args.f)
         if "t" in args:  # every command but eulersum
-            args.tp = check_config(args.spec, _parse_t(args.t))
+            args.tp = check_config(args.spec, args.t)
         with digits_unlimited():
             code = args.func(args)
         sys.stdout.flush()

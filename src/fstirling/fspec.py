@@ -11,19 +11,24 @@ of four shapes, with a tiny text DSL for the CLI:
     table:<path>          f(n) = values[n-1] from a JSON array of numbers
                           (read from their decimal text) and "p/q" strings
 
+Numbers in this text and in the text of t are read by ``rational``, under
+the int-to-string digit limit, exponents included.
+
 f(n) = 0 is rejected at the point of first use: every downstream sum divides
 by f(k) powers, so a zero value would silently poison results.
 
 The parameter t may be an exact rational, the formal variable itself, or a
 monomial power of a substitution variable (used to realize fractional powers
 of t exactly).  One formal variable at a time: a symbolic q-power f requires a
-numeric t, and vice versa.  ``check_config`` turns each form into one nonzero
-constant or monomial ``LaurentPoly``; every library function that takes t
-takes that value, as ``tp``, and uses it as given.
+numeric t, and vice versa.  ``check_config`` reads t in each form, the text of
+``--t`` included, into one nonzero constant or monomial ``LaurentPoly``; every
+library function that takes t takes that value, as ``tp``, and uses it as given.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
@@ -69,6 +74,16 @@ class FSpec(NamedTuple):
         return self.render()
 
 
+def rational(text: str) -> Fraction:
+    """``Fraction(text)``, with an exponent past the int-to-string digit limit
+    rejected from the text, before the number is built, as digits past it are."""
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if exp and limit and abs(int(exp[1])) > limit:
+        raise ValueError(f"exponent {exp[1]} exceeds the limit ({limit} digits)")
+    return Fraction(text)
+
+
 def linear(alpha, beta) -> FSpec:
     return FSpec("linear", (Fraction(alpha), Fraction(beta)))
 
@@ -81,7 +96,7 @@ def qpow(offset: int, base=None) -> FSpec:
 def table(values: Sequence, path: str = "<inline>") -> FSpec:
     if any(isinstance(v, bool) for v in values):
         raise FSpecError("table contains a boolean value")
-    vals = tuple(Fraction(v) for v in values)
+    vals = tuple(rational(v) if isinstance(v, str) else Fraction(v) for v in values)
     if not vals:
         raise FSpecError("table must be non-empty")
     if any(v == 0 for v in vals):
@@ -101,23 +116,23 @@ def parse_fspec(text: str) -> FSpec:
     try:
         if kind == "linear":
             a, b = rest.split(",")
-            return linear(Fraction(a), Fraction(b))
+            return linear(rational(a), rational(b))
         if kind == "poly":
-            coeffs = [Fraction(c) for c in rest.split(",")]
+            coeffs = [rational(c) for c in rest.split(",")]
             return poly(*coeffs)
         if kind == "qpow":
             parts = rest.split(",")
             if len(parts) == 1:
                 return qpow(int(parts[0]))
             if len(parts) == 2:
-                return qpow(int(parts[1]), Fraction(parts[0]))
+                return qpow(int(parts[1]), rational(parts[0]))
             raise FSpecError(f"qpow takes 1 or 2 arguments, got {len(parts)}")
         if kind == "table":
             import json
 
             # Numbers are read from their text, as the DSL's are: 0.1 is 1/10.
             with open(rest) as fh:
-                values = json.load(fh, parse_float=Fraction, parse_constant=_reject_constant)
+                values = json.load(fh, parse_float=rational, parse_constant=_reject_constant)
             if not isinstance(values, list):
                 raise FSpecError(f"table file {rest!r} is not a JSON array")
             return table(values, rest)
@@ -197,15 +212,18 @@ TParam = Union[int, Fraction, LaurentPoly, str]
 
 
 def check_config(spec: FSpec, t: TParam) -> LaurentPoly:
-    """t as the library takes it: a rational, a variable name or a
+    """t as the library takes it: a rational, the text of ``--t`` or a
     ``LaurentPoly``, checked to be a nonzero constant or monomial that obeys
-    the one-formal-variable convention."""
-    if isinstance(t, LaurentPoly):
-        tp = t
-    elif isinstance(t, str):
-        tp = LaurentPoly.variable(t)
-    else:
-        tp = LaurentPoly.constant(t)
+    the one-formal-variable convention.  Text is "sym", "symbolic" or "t" for
+    the formal variable t, and otherwise a rational; it never names a variable."""
+    if isinstance(t, str):
+        try:
+            t = LaurentPoly.variable("t") if t in ("sym", "symbolic", "t") else rational(t)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FSpecError(f"bad t value {t!r}: {exc}") from exc
+    tp = t if isinstance(t, LaurentPoly) else LaurentPoly.constant(t)
+    if not tp:
+        raise FSpecError("t must be nonzero")
     if not tp.is_monomial():  # a nonzero constant is a monomial at exponent 0
         raise ValueError("t must be a nonzero constant or a monomial")
     if spec.symbolic and not tp.is_constant():

@@ -52,21 +52,13 @@ def s1_triangle(spec: FSpec, tp: LaurentPoly, N: int) -> Triangle:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    zero = LaurentPoly.constant(0)
     rows = S1_ROWS.setdefault((spec, tp), [(LaurentPoly.constant(1),)])
     for n in range(len(rows), N + 1):
-        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else None
+        # Row 1 takes scale 0, so f(0) is never evaluated.
+        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else LaurentPoly.constant(0)
         prev = rows[n - 1]
-        row = []
-        for k in range(n + 1):
-            above = prev[k] if k <= n - 1 else zero
-            left = prev[k - 1] if 1 <= k <= n else zero
-            if n == 1:
-                # f(0) is never evaluated: the k=0 column above row 0 is zero.
-                row.append(left)
-            else:
-                row.append(scale * above + left)
-        rows.append(tuple(row))
+        rows.append((scale * prev[0], *(scale * a + b for a, b in zip(prev[1:], prev)),
+                     prev[-1]))
     return Triangle(N, tuple(rows[: N + 1]))
 
 
@@ -77,10 +69,6 @@ def s1_entry_oracle(spec: FSpec, tp: LaurentPoly, n: int, k: int) -> LaurentPoly
         raise ValueError("need 0 <= k <= n")
     if n > ORACLE_CAP:
         raise ValueError(f"oracle subset enumeration capped at n <= {ORACLE_CAP}")
-    if n == 0:
-        return LaurentPoly.constant(1 if k == 0 else 0)
-    if k == 0:
-        return LaurentPoly.constant(0)
     values = [eval_f(spec, j) * tp ** (-j) for j in range(1, n)]
     acc = LaurentPoly.constant(0)
     for subset in itertools.combinations(values, n - k):

@@ -350,7 +350,10 @@ def _bad_table(name):
 # Table files the test writes to its working directory; the deep one is too
 # large to keep in tests/data.
 TABLE_FILES = {"bool.json": "[true, 2, 3]", "infinity.json": "[Infinity, 2]",
-               "deep.json": "[" * 100_000 + "]" * 100_000}
+               "deep.json": "[" * 100_000 + "]" * 100_000,
+               "exponent.json": "[1e200000, 2]", "exponent-text.json": '["1e200000", 2]'}
+# An exponent is held to the int-to-string digit limit, as a digit string is.
+PAST_THE_LIMIT = f"exponent 200000 exceeds the limit ({sys.get_int_max_str_digits()} digits)"
 
 
 def _written_table(name, message):
@@ -390,12 +393,20 @@ def _too_deep():
     _written_table("infinity.json",
                    "malformed fspec 'table:infinity.json': Infinity is not a rational number"),
     _too_deep(),
+    (["triangle", "--f", "linear:1,0", "--t", "1e200000", "--rows", "2"],
+     f"bad t value '1e200000': {PAST_THE_LIMIT}"),
+    (["triangle", "--f", "linear:1e200000,0", "--rows", "2"],
+     f"malformed fspec 'linear:1e200000,0': {PAST_THE_LIMIT}"),
+    _written_table("exponent.json", f"malformed fspec 'table:exponent.json': {PAST_THE_LIMIT}"),
+    _written_table("exponent-text.json",
+                   f"malformed fspec 'table:exponent-text.json': {PAST_THE_LIMIT}"),
 ], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal",
         "convpoly-decimal-symbolic-t", "convpoly-decimal-symbolic-f",
         "harmonic-decimal-symbolic-t", "harmonic-decimal-symbolic-f", "triangle-output-missing-dir",
         "verify-output-is-a-directory", "table-null-entry", "table-list-entry",
         "table-object-entry", "table-bool-entry", "table-infinity-entry",
-        "table-deep-nesting"])
+        "table-deep-nesting", "t-exponent", "linear-exponent", "table-float-exponent",
+        "table-string-exponent"])
 def test_bad_input_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in TABLE_FILES.items():
@@ -653,7 +664,7 @@ def test_euler_sum_numeric_note_is_the_eulersum_decimal_digits(tmp_path, capsys)
 ])
 def test_a_suite_that_does_not_apply_writes_one_skip_cell(suite, f, t, note):
     spec = parse_fspec(f)
-    reports = cli.run_suite(suite, spec, check_config(spec, cli._parse_t(t)), 8)
+    reports = cli.run_suite(suite, spec, check_config(spec, t), 8)
     assert [r.to_json() for r in reports] == [{
         "identity": suite,
         # str(tp) of the checked t: the same text as given, "t" for symbolic
@@ -725,7 +736,7 @@ def test_random_configurations_fail_only_the_as_printed_prop1_cells(f, t):
     with tempfile.TemporaryDirectory() as tmp:
         try:
             spec = parse_fspec(_f_text(kind, params, os.path.join(tmp, "f.json")))
-            tp = check_config(spec, cli._parse_t(str(t)))
+            tp = check_config(spec, str(t))
             reports = [r for name in cli.SUITES for r in cli.run_suite(name, spec, tp, 4)]
         except FSpecError as exc:
             assert _rejects(kind, params, t), exc

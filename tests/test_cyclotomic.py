@@ -170,7 +170,7 @@ NUMERIC_T = [1, Fraction(3, 2), Fraction(-2, 5)]
 ROUTE_CASES = [(f, t) for f in (linear(2, 1), poly(1, 0, 1),
                                 parse_fspec(f"table:{os.path.join(DATA, 'table12.json')}"),
                                 qpow(1, base=Fraction(3, 2)))
-               for t in NUMERIC_T + ["t", "u"]]
+               for t in NUMERIC_T + ["t", LaurentPoly.variable("u")]]
 ROUTE_CASES += [(qpow(1), t) for t in NUMERIC_T]
 ROUTE_CASES = [(f, check_config(f, t)) for f, t in ROUTE_CASES]
 

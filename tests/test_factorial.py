@@ -16,12 +16,16 @@ def test_check_config_forms():
     assert check_config(spec, "t").terms == {1: Fraction(1)}
     mono = LaurentPoly.monomial("u", 6)
     assert check_config(spec, mono) is mono
-    with pytest.raises(ValueError):
-        check_config(spec, 0)
+    assert check_config(spec, "3/2").constant_value() == Fraction(3, 2)
+    assert check_config(spec, "sym").terms == check_config(spec, "symbolic").terms == {1: 1}
+    assert check_config(spec, "sym").var == "t"
+    for zero in ("0", 0, LaurentPoly.constant(0)):
+        with pytest.raises(FSpecError, match="^t must be nonzero$"):
+            check_config(spec, zero)
+    with pytest.raises(FSpecError, match="^bad t value 'x'"):
+        check_config(spec, "x")
     with pytest.raises(ValueError):
         check_config(spec, LaurentPoly("t", {0: 1, 1: 1}))
-    with pytest.raises(ValueError):
-        check_config(spec, LaurentPoly.constant(0))
     with pytest.raises(ValueError):
         check_config(spec, LaurentPoly.variable("t") + 1)
 
