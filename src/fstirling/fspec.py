@@ -12,7 +12,8 @@ of four shapes, with a tiny text DSL for the CLI:
                           (read from their decimal text) and "p/q" strings
 
 Numbers in this text and in the text of t are read by ``rational``, under
-the int-to-string digit limit, exponents included.
+the int-to-string digit limit, exponents included; a numeric qpow's f(1)
+is held to the same limit.
 
 f(n) = 0 is rejected at the point of first use: every downstream sum divides
 by f(k) powers, so a zero value would silently poison results.
@@ -32,7 +33,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .laurent import LaurentPoly
@@ -125,7 +126,15 @@ def parse_fspec(text: str) -> FSpec:
             if len(parts) == 1:
                 return qpow(int(parts[0]))
             if len(parts) == 2:
-                return qpow(int(parts[1]), rational(parts[0]))
+                base, offset = rational(parts[0]), int(parts[1])
+                # f(1) = base^(1+offset), judged before any power is built: the larger
+                # of its numerator and denominator is at least 2^bits (1 when |base| = 1).
+                larger = max(abs(base.numerator), base.denominator)
+                bits = (larger.bit_length() - 1) * abs(1 + offset)
+                limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+                if limit and bits > limit * log2(10):
+                    raise FSpecError(f"f(1) of {text} exceeds the limit ({limit} digits)")
+                return qpow(offset, base)
             raise FSpecError(f"qpow takes 1 or 2 arguments, got {len(parts)}")
         if kind == "table":
             import json

@@ -25,7 +25,7 @@ Scalar = Union[int, Fraction]
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, (int, str)):
+    if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"cannot coerce {type(c).__name__} to a rational")
 

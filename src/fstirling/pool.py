@@ -11,7 +11,6 @@ command's report with it.  Only the ``verify`` command imports this module.
 
 from __future__ import annotations
 
-import gc
 import marshal
 import os
 
@@ -73,21 +72,11 @@ def _work(queue: int, out: int, others: list, task, names: list, passthrough: tu
     try:
         for fd in others:
             os.close(fd)
-        data = memoryview(marshal.dumps(_drain(queue, task, names, passthrough, parent)))
-        while data:
-            data = data[os.write(out, data):]
+        with open(out, "wb", closefd=False) as pipe:
+            marshal.dump(_drain(queue, task, names, passthrough, parent), pipe)
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while True:
-        chunk = os.read(fd, 1 << 16)
-        if not chunk:
-            return b"".join(chunks)
-        chunks.append(chunk)
 
 
 def _gather(task, names: list, order: list, processes: int, passthrough: tuple):
@@ -98,9 +87,6 @@ def _gather(task, names: list, order: list, processes: int, passthrough: tuple):
     parent = os.getpid()
     workers = {}  # pid -> read end of the worker's result pipe
     ended = []
-    # What exists now is shared with the workers: keep their collector off it,
-    # so neither its passes nor the copies on write they cause repeat per worker.
-    gc.freeze()
     try:
         for _ in range(processes):
             read_end, write_end = os.pipe()
@@ -112,7 +98,8 @@ def _gather(task, names: list, order: list, processes: int, passthrough: tuple):
             workers[pid] = read_end
         outcomes = {}
         for pid in list(workers):
-            data = _read_all(workers[pid])
+            with open(workers[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             os.close(workers.pop(pid))
             if status == 0:
@@ -121,7 +108,6 @@ def _gather(task, names: list, order: list, processes: int, passthrough: tuple):
                 ended.append(os.waitstatus_to_exitcode(status))
         return outcomes, ended
     finally:
-        gc.unfreeze()
         os.close(queue)
         for pid, fd in workers.items():
             os.kill(pid, SIGKILL)

@@ -400,13 +400,18 @@ def _too_deep():
     _written_table("exponent.json", f"malformed fspec 'table:exponent.json': {PAST_THE_LIMIT}"),
     _written_table("exponent-text.json",
                    f"malformed fspec 'table:exponent-text.json': {PAST_THE_LIMIT}"),
+    # f(1) = 2^(1 + offset) is judged from bit lengths, before the power is built.
+    (["triangle", "--f", "qpow:2,300000", "--t", "1", "--rows", "2"],
+     f"f(1) of qpow:2,300000 exceeds the limit ({sys.get_int_max_str_digits()} digits)"),
+    (["triangle", "--f", "qpow:2,-300000", "--t", "1", "--rows", "2"],
+     f"f(1) of qpow:2,-300000 exceeds the limit ({sys.get_int_max_str_digits()} digits)"),
 ], ids=["t-zero", "harmonic-p", "roots-p", "eulersum-N", "convpoly-json-decimal",
         "convpoly-decimal-symbolic-t", "convpoly-decimal-symbolic-f",
         "harmonic-decimal-symbolic-t", "harmonic-decimal-symbolic-f", "triangle-output-missing-dir",
         "verify-output-is-a-directory", "table-null-entry", "table-list-entry",
         "table-object-entry", "table-bool-entry", "table-infinity-entry",
         "table-deep-nesting", "t-exponent", "linear-exponent", "table-float-exponent",
-        "table-string-exponent"])
+        "table-string-exponent", "qpow-exponent", "qpow-negative-exponent"])
 def test_bad_input_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in TABLE_FILES.items():

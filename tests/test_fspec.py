@@ -1,6 +1,7 @@
 """f specification DSL: parsing, rendering, evaluation, and error handling."""
 
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,25 @@ def test_zero_qpow_base_to_a_negative_power_rejected():
 def test_malformed_specs_rejected(text):
     with pytest.raises(FSpecError):
         parse_fspec(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-string digit limit")
+def test_a_numeric_qpow_is_held_to_the_digit_limit():
+    """f(1) = base^(1+offset) is judged from bit lengths, so a spec past the
+    limit fails at once; |base| = 1, a symbolic offset and a lifted limit
+    never fail, and their powers are not built here."""
+    for text in ("qpow:2,300000", "qpow:1/2,-300000", "qpow:-3,300000"):
+        with pytest.raises(FSpecError, match=r"f\(1\) of .* exceeds the limit"):
+            parse_fspec(text)
+    for text in ("qpow:2,100", "qpow:1,30000000", "qpow:-1,-30000000", "qpow:3000000"):
+        assert parse_fspec(text).render() == text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_fspec("qpow:2,300000") == qpow(300000, 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _pair_values = st.fractions(min_value=-7, max_value=7, max_denominator=6)

@@ -159,6 +159,15 @@ def test_a_non_constant_needs_a_variable():
             build()
 
 
+def test_a_coefficient_is_a_number_not_text():
+    """Outside text is read by fspec.rational, under the digit limit; the ring
+    takes ints and Fractions only, so text raises TypeError as a float does."""
+    for build in (lambda: LaurentPoly.constant("1/2"), lambda: LaurentPoly.monomial("t", 1, "2"),
+                  lambda: LaurentPoly("t", {0: "1"}), lambda: LaurentPoly.constant(0.5)):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_string_rendering():
     p = LaurentPoly("t", {-1: Fraction(1, 2), 0: -1, 2: 3})
     assert str(p) == "1/2*t^-1 - 1 + 3*t^2"
