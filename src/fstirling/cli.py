@@ -32,7 +32,7 @@ import re
 import sys
 from importlib import import_module
 
-from .fspec import FSpecError, check_config, parse_fspec
+from .fspec import MEMO, FSpecError, check_config, parse_fspec
 from .laurent import LaurentPoly
 from .report import (Report, digits_unlimited, json_list_chunks, json_text, render_t,
                      render_value)
@@ -166,14 +166,13 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_convpoly(args) -> int:
-    from . import convpoly, stirling
+    from . import convpoly
 
     if args.format == "json" and args.decimal is not None:
         raise UsageError("--decimal applies only to --format csv")
     _check_decimal(args)
     spec, tp = args.spec, args.tp
-    tri = stirling.s1_triangle(spec, tp, args.x_max)
-    rows = [(n, x, convpoly.sigma_eval(spec, tp, args.variant, n, x, triangle=tri))
+    rows = [(n, x, convpoly.sigma_eval(spec, tp, args.variant, n, x))
             for n in range(args.n_max + 1) for x in range(n + 1, args.x_max + 1)]
     if args.format == "json":
         chunks = _json_chunks(args, {"variant": args.variant, "values": []},
@@ -432,11 +431,8 @@ def main(argv=None) -> int:
     # as a test or a traced benchmark pass, keeps every suite in its process.
     args.may_fork = argv is None
     # A command's work, and so a traced pass's counts, must not depend on
-    # what ran before it in the same process.
-    for module, store in (("stirling", "S1_ROWS"), ("fharmonic", "DIRECT_SUMS")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            getattr(loaded, store).clear()
+    # what ran before it in the same process: the rows and sums start afresh.
+    MEMO.clear()
     try:
         # Outside input is parsed and checked before the digit limit is lifted.
         args.spec = parse_fspec(args.f)

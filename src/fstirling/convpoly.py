@@ -17,23 +17,22 @@ from .fspec import FSpec, bang_f, eval_f, linear
 from .laurent import LaurentPoly
 from .report import Report
 from .series import TruncSeries, geometric_minus_one_over
-from .stirling import Triangle, s1_triangle
+from .stirling import s1_triangle
 
 
-def sigma_eval(spec: FSpec, tp: LaurentPoly, variant: str, n: int, x: int,
-               triangle: Triangle | None = None) -> LaurentPoly:
+def sigma_eval(spec: FSpec, tp: LaurentPoly, variant: str, n: int, x: int) -> LaurentPoly:
     """Diagonal entry entry(x, x-n) rescaled by factorials.
 
     variant "sigma":  entry(x, x-n) (x-n-1)! / x!_f
     variant "sigma~": entry(x, x-n) (x-n-1)! / x!
     Defined for integer x >= n+1 >= 1 (n = 0 gives (x-1)!/x!_f resp. 1/x...).
+    The entry is read off ``s1_triangle``, whose rows ``fspec.MEMO`` shares.
     """
     if variant not in ("sigma", "sigma~"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 0 or x < n + 1:
         raise ValueError(f"sigma is defined for x >= n+1 >= 1, got n={n}, x={x}")
-    tri = triangle if triangle is not None else s1_triangle(spec, tp, x)
-    entry = tri.entry(x, x - n)
+    entry = s1_triangle(spec, tp, x).entry(x, x - n)
     num = Fraction(math.factorial(x - n - 1))
     if variant == "sigma":
         return entry * num / bang_f(spec, x)
@@ -49,7 +48,6 @@ def sigma_recurrence_check(spec: FSpec, tp: LaurentPoly, N_n: int, N_x: int) -> 
     The n = 0 boundary uses sigma_(-1) = 0; the printed base-case correction
     only fires at x = 0, outside the checked domain.
     """
-    tri = s1_triangle(spec, tp, N_x + 1)
     report = Report(
         "sigma-recurrences", {"f": spec.render(), "t": tp, "N_n": N_n, "N_x": N_x}
     )
@@ -59,13 +57,9 @@ def sigma_recurrence_check(spec: FSpec, tp: LaurentPoly, N_n: int, N_x: int) -> 
             fx = eval_f(spec, x)
             fx1 = eval_f(spec, x + 1)
             for variant in ("sigma", "sigma~"):
-                cur = sigma_eval(spec, tp, variant, n, x, triangle=tri)
-                nxt = sigma_eval(spec, tp, variant, n, x + 1, triangle=tri)
-                prev = (
-                    sigma_eval(spec, tp, variant, n - 1, x, triangle=tri)
-                    if n >= 1
-                    else zero
-                )
+                cur = sigma_eval(spec, tp, variant, n, x)
+                nxt = sigma_eval(spec, tp, variant, n, x + 1)
+                prev = sigma_eval(spec, tp, variant, n - 1, x) if n >= 1 else zero
                 lead = fx1 if variant == "sigma" else LaurentPoly.constant(x + 1)
                 lhs = lead * nxt
                 rhs = (x - n) * cur + fx * tp ** (-x) * prev
@@ -103,14 +97,13 @@ def stirlingpoly_gf_check(family: str, n_max: int, x_max: int,
     core = TruncSeries.exp("z", alpha, order) / geometric_minus_one_over("z", order, alpha)
     prefactor = TruncSeries.exp("z", beta, order)
     one = LaurentPoly.constant(1)
-    tri = s1_triangle(spec, one, x_max)
     core_x = core
     for x in range(1, x_max + 1):
         if x > 1:
             core_x = core_x * core
         series = prefactor * core_x
         for n in range(min(n_max, x - 1) + 1):
-            lhs = x * sigma_eval(spec, one, "sigma~", n, x, triangle=tri)
+            lhs = x * sigma_eval(spec, one, "sigma~", n, x)
             report.check((family, n, x), lhs, series.coeff(n))
     return report
 
@@ -217,11 +210,7 @@ def fit_experimental_gf(
         raise ValueError(
             f"diagonal values sigma_n({x}) exist only for n <= {x - 1}; N={N} too large"
         )
-    tri = s1_triangle(spec, tp, x)
-    raw = [
-        sigma_eval(spec, tp, "sigma", n, x, triangle=tri).constant_value()
-        for n in range(N + 1)
-    ]
+    raw = [sigma_eval(spec, tp, "sigma", n, x).constant_value() for n in range(N + 1)]
     targets = [v / raw[0] for v in raw]
     fitted = _triangular_fit(targets, x, N)
     report = Report(

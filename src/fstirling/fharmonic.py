@@ -11,20 +11,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .cyclotomic import power_coeffs, twisted_product_coeff
 # Re-exported: the benchmark tracer times the kernel under this module's name.
 from .eulersum import euler_sum_numeric
-from .fspec import FSpec, bang_f, bang_ft, eval_f
+from .fspec import MEMO, FSpec, bang_f, bang_ft, eval_f
 from .laurent import LaurentPoly
 from .report import Report
 from .stirling import s1_triangle
-
-
-# Partial sums computed so far per (spec, p, arg), extended on demand like
-# stirling.S1_ROWS; cli.main empties the store at the start of each command.
-DIRECT_SUMS: Dict[tuple, List[LaurentPoly]] = {}
 
 
 def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
@@ -32,11 +27,12 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
 
     ``arg`` is the substituted power of t (a rational, the formal variable,
     or a monomial in a substitution variable).  Sums already computed for
-    this (f, p, arg) are reused; a term whose f value fails is not kept.
+    this (f, p, arg) are kept in ``fspec.MEMO`` and extended on demand; a term
+    whose f value fails is not kept.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    sums = DIRECT_SUMS.setdefault((spec, p, arg), [LaurentPoly.constant(0)])
+    sums = MEMO.setdefault(("direct", spec, p, arg), [LaurentPoly.constant(0)])
     if n >= len(sums):
         power = arg ** (len(sums) - 1)
         for k in range(len(sums), n + 1):

@@ -24,6 +24,11 @@ of t exactly).  One formal variable at a time: a symbolic q-power f requires a
 numeric t, and vice versa.  ``check_config`` reads t in each form, the text of
 ``--t`` included, into one nonzero constant or monomial ``LaurentPoly``; every
 library function that takes t takes that value, as ``tp``, and uses it as given.
+
+``MEMO`` is the one store of what the recurrences over f have built so far:
+the first-kind rows of ``stirling`` under ``("s1", spec, tp)`` and the direct
+partial sums of ``fharmonic`` under ``("direct", spec, p, arg)``.  ``cli.main``
+empties it at the start of each command.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 from .laurent import LaurentPoly
 
 Q_VAR = "q"
+MEMO: dict = {}
 
 
 class FSpecError(ValueError):

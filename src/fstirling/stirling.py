@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple
+from typing import NamedTuple
 
-from .fspec import FSpec, bang_f, bang_ft, eval_f, f_pairs
+from .fspec import MEMO, FSpec, bang_f, bang_ft, eval_f, f_pairs
 from .laurent import LaurentPoly
 from .report import Report
 
@@ -36,23 +36,18 @@ class Triangle(NamedTuple):
         return self.entries[n][k]
 
 
-# First-kind rows built so far per (spec, t).  Rows are
-# tuples of immutable values, so triangles share them.  cli.main empties the
-# store at the start of each command.
-S1_ROWS: Dict[tuple, List[tuple]] = {}
-
-
 def s1_triangle(spec: FSpec, tp: LaurentPoly, N: int) -> Triangle:
     """Rows 0..N of the first-kind triangle, built by the recurrence
 
         entry(n, k) = f(n-1) t^(1-n) entry(n-1, k) + entry(n-1, k-1)
 
-    with entry(0, 0) = 1.  Rows already built for this (f, t) are reused and
-    extended on demand; a row whose f value fails is not kept.
+    with entry(0, 0) = 1.  Rows already built for this (f, t) are kept in
+    ``fspec.MEMO`` and extended on demand; a row whose f value fails is not
+    kept.  Rows are tuples of immutable values, so triangles share them.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    rows = S1_ROWS.setdefault((spec, tp), [(LaurentPoly.constant(1),)])
+    rows = MEMO.setdefault(("s1", spec, tp), [(LaurentPoly.constant(1),)])
     for n in range(len(rows), N + 1):
         # Row 1 takes scale 0, so f(0) is never evaluated.
         scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else LaurentPoly.constant(0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fstirling import cli, fharmonic, stirling
 from fstirling.cli import main
-from fstirling.fspec import FSpecError, check_config, linear, parse_fspec
+from fstirling.fspec import MEMO, FSpecError, check_config, linear, parse_fspec
 from fstirling.laurent import LaurentPoly
 from fstirling.report import digits_unlimited, render_value
 
@@ -70,23 +70,24 @@ def test_triangle_json_round_trips(capsys):
     assert out2 == out
 
 
-def test_each_command_starts_from_an_empty_triangle_store(monkeypatch, capsys):
-    monkeypatch.setattr(stirling, "S1_ROWS", {})
+def test_each_command_starts_from_an_empty_triangle_store(capsys):
+    MEMO.clear()
     stirling.s1_triangle(linear(1, 0), LaurentPoly.constant(1), 5)
     args = ["triangle", "--f", "linear:2,1", "--t", "3/2", "--rows", "3"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
-    assert [spec.render() for spec, _ in stirling.S1_ROWS] == ["linear:2,1"]
+    assert [(kind, spec.render()) for kind, spec, _ in MEMO] == [("s1", "linear:2,1")]
     assert run_cli(args, capsys) == (0, out, "")
 
 
-def test_each_command_starts_from_an_empty_direct_sum_store(monkeypatch, capsys):
-    monkeypatch.setattr(fharmonic, "DIRECT_SUMS", {})
+def test_each_command_starts_from_an_empty_direct_sum_store(capsys):
+    MEMO.clear()
     fharmonic.fharmonic_direct(linear(1, 0), 2, 5, 1)
     args = ["harmonic", "--f", "linear:2,1", "--t", "3/2", "--p", "2", "--n", "4"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
-    assert [(spec.render(), p) for spec, p, _ in fharmonic.DIRECT_SUMS] == [("linear:2,1", 2)]
+    assert [(kind, spec.render(), p) for kind, spec, p, _ in MEMO] == [
+        ("direct", "linear:2,1", 2)]
     assert run_cli(args, capsys) == (0, out, "")
 
 

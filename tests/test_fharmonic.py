@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fstirling import fharmonic
 from fstirling.eulersum import euler_sum_floor, euler_sum_numeric
 from fstirling.fharmonic import (
     corollary_expansions_check,
@@ -24,7 +23,7 @@ from fstirling.fharmonic import (
     stirling_harmonic_identity_check,
     wf_table,
 )
-from fstirling.fspec import FSpecError, check_config, linear, parse_fspec, poly, qpow, table
+from fstirling.fspec import MEMO, FSpecError, check_config, linear, parse_fspec, poly, qpow, table
 from fstirling.laurent import LaurentPoly
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -72,18 +71,19 @@ def test_subst_route_matches_direct():
 
 
 @pytest.mark.parametrize("spec,t", MATRIX)
-def test_direct_sums_extend_on_demand(monkeypatch, spec, t):
+def test_direct_sums_extend_on_demand(spec, t):
     tp = check_config(spec, t)
-    store = {}
-    monkeypatch.setattr(fharmonic, "DIRECT_SUMS", store)
+    MEMO.clear()
     for n in (4, 2, 9, 0, 9):
         got = fharmonic_direct(spec, 3, n, tp ** 3)
-        monkeypatch.setattr(fharmonic, "DIRECT_SUMS", {})
+        kept = dict(MEMO)
+        MEMO.clear()
         fresh = fharmonic_direct(spec, 3, n, tp ** 3)
-        monkeypatch.setattr(fharmonic, "DIRECT_SUMS", store)
+        MEMO.clear()
+        MEMO.update(kept)
         assert (got.var, got.lo, got.num, got.den) == \
             (fresh.var, fresh.lo, fresh.num, fresh.den), n
-    assert [len(sums) for sums in store.values()] == [10]
+    assert [len(sums) for sums in MEMO.values()] == [10]
 
 
 @pytest.mark.parametrize("spec,t", MATRIX)

@@ -139,18 +139,16 @@ def _time_limit(seconds):
 
 
 def _failures(config, suite):
-    """The failing cells of ``suite``, with the row and sum stores emptied first
-    and after, as ``cli.main`` empties them for each command."""
+    """The failing cells of ``suite``, with ``fspec.MEMO`` emptied first and
+    after, as ``cli.main`` empties it for each command."""
     spec = parse_fspec(config[0])
     tp = fspec.check_config(spec, config[1])
-    stirling.S1_ROWS.clear()
-    fharmonic.DIRECT_SUMS.clear()
+    fspec.MEMO.clear()
     try:
         with _time_limit(30):
             reports = cli.run_suite(suite, spec, tp, DEPTH)
     finally:
-        stirling.S1_ROWS.clear()
-        fharmonic.DIRECT_SUMS.clear()
+        fspec.MEMO.clear()
     return {(r.identity, cell.indices) for r in reports for cell in r.failures}
 
 

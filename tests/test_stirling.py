@@ -1,5 +1,6 @@
 """Triangle construction, oracles, and the second-kind transforms."""
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from fstirling import stirling
 from fstirling.cli import run_suite
-from fstirling.fspec import FSpecError, check_config, eval_f, linear, parse_fspec, qpow
+from fstirling.fspec import MEMO, FSpecError, check_config, eval_f, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
 from fstirling.report import Report, json_text
 from fstirling.stirling import (
@@ -79,6 +80,58 @@ def test_matches_independent_classical_recurrence():
     for n in range(N + 1):
         for k in range(n + 1):
             assert tri.entry(n, k).constant_value() == classical[n][k]
+
+
+@functools.cache
+def gaussian_binomial(m, r):
+    """Integer coefficients of the Gaussian binomial [m choose r]_Q in powers
+    of Q, by the Q-Pascal rule [m, r] = [m-1, r-1] + Q^r [m-1, r]."""
+    if not 0 <= r <= m:
+        return ()
+    if r in (0, m):
+        return (1,)
+    left, up = gaussian_binomial(m - 1, r - 1), gaussian_binomial(m - 1, r)
+    out = list(left) + [0] * (r + len(up) - len(left))
+    for i, c in enumerate(up):
+        out[r + i] += c
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec,t", [(qpow(1), 1), (qpow(-2), Fraction(3, 2)),
+                                    (qpow(1, Fraction(3, 2)), Fraction(-2, 5))])
+def test_qpow_rows_are_q_binomials(spec, t):
+    """f(j) t^(-j) = q^offset Q^j with Q = q/t, so for r = n - k and
+    m = n - 1, entry(n, k) = q^(offset r) Q^(r(r+1)/2) [m choose r]_Q, rows 1..24;
+    a numeric base stands for q."""
+    base, offset = spec.params
+    tri = s1_triangle(spec, check_config(spec, t), 24)
+    for n in range(1, 25):
+        for k in range(n + 1):
+            r = n - k
+            # exponent of Q -> coefficient, before any q is set to the base
+            powers = {r * (r + 1) // 2 + i: c
+                      for i, c in enumerate(gaussian_binomial(n - 1, r))}
+            if base is None:
+                want = {offset * r + e: c / Fraction(t) ** e for e, c in powers.items()}
+                assert tri.entry(n, k).terms == want, (n, k)
+            else:
+                want = sum((c * (base / t) ** e for e, c in powers.items()), Fraction(0))
+                assert tri.entry(n, k) == base ** (offset * r) * want, (n, k)
+
+
+@pytest.mark.parametrize("a,b", [(1, 0), (2, 1), (Fraction(-3, 2), Fraction(1, 3))])
+def test_linear_rows_at_t_1_are_alpha_factorial_sums(a, b):
+    """f(j) = a j + b at t = 1: x prod_{1<=j<n} (x + b + a j) expands through
+    the rising factorial, entry(n, k) =
+    sum_m c(n, m+1) a^(n-1-m) C(m, k-1) b^(m-k+1), rows 1..24."""
+    tri = s1_triangle(linear(a, b), ONE, 24)
+    c = classical_first_kind(24)
+    for n in range(1, 25):
+        assert tri.entry(n, 0) == 0
+        for k in range(1, n + 1):
+            want = sum(Fraction(c[n][m + 1]) * Fraction(a) ** (n - 1 - m) * math.comb(m, k - 1)
+                       * Fraction(b) ** (m - k + 1) for m in range(k - 1, n))
+            assert tri.entry(n, k) == want, (n, k)
 
 
 def test_q_triangle_has_nonnegative_integer_coefficients():
@@ -154,10 +207,10 @@ def test_s2_rows_invert_to_the_powers(spec, t):
 
 
 @pytest.mark.parametrize("t,rows", [(Fraction(3, 2), 32), ("t", 24)])
-def test_s1_rows_are_the_pochhammer_coefficients(monkeypatch, t, rows):
+def test_s1_rows_are_the_pochhammer_coefficients(t, rows):
     """sum_k entry(n, k) x^k = x prod_{1<=j<n} (x + f(j) t^(-j)) at x = 0..n,
     on rows built afresh by the recurrence."""
-    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    MEMO.clear()
     spec = linear(2, 1)
     tp = check_config(spec, t)
     tri = s1_triangle(spec, tp, rows)
@@ -277,8 +330,8 @@ def test_s2star_transforms_numeric_specs():
 
 
 @pytest.mark.parametrize("sizes", [(10, 3, 12), (12, 3, 10)])
-def test_triangle_store_extends_and_truncates(monkeypatch, sizes):
-    monkeypatch.setattr(stirling, "S1_ROWS", {})
+def test_triangle_store_extends_and_truncates(sizes):
+    MEMO.clear()
     for spec, tp in ((linear(2, 1), LaurentPoly.constant(Fraction(3, 2))),
                      (TABLE, LaurentPoly.variable("t"))):
         oracle = {(n, k): s1_entry_oracle(spec, tp, n, k)
@@ -293,13 +346,14 @@ def test_triangle_store_extends_and_truncates(monkeypatch, sizes):
                     assert tri.entry(n, k) == oracle[n, k], (N, n, k)
 
 
-def test_triangle_store_keeps_no_failed_row(monkeypatch):
-    monkeypatch.setattr(stirling, "S1_ROWS", {})
+def test_triangle_store_keeps_no_failed_row():
+    MEMO.clear()
     # row 14 needs f(13), one past the 12-entry table
     for _ in range(2):
         with pytest.raises(FSpecError):
             s1_triangle(TABLE, ONE, 14)
+    assert len(MEMO["s1", TABLE, ONE]) == 14
     tri = s1_triangle(TABLE, ONE, 13)
     assert tri.rows == 13 and len(tri.entries) == 14
-    monkeypatch.setattr(stirling, "S1_ROWS", {})
+    MEMO.clear()
     assert s1_triangle(TABLE, ONE, 13).entries == tri.entries
