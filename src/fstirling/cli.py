@@ -7,6 +7,7 @@
                         [--format csv [--decimal K] | --format json]
     fstirling eulersum  --f <dsl> --r R --N TERMS --mode harmonic_over_f|fzeta|fzeta2r [--decimal K]
     fstirling verify    --suite <name>|all --f <dsl> --t <t> [--max-n N]
+    fstirling <command> ... [--output PATH]
 
 Exit codes: 0 success with all checks passing, 1 identity-check failure
 (reports still written), 2 usage or configuration error, 141 (128 + SIGPIPE)

@@ -32,7 +32,8 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    sums = MEMO.setdefault(("direct", spec, p, arg), [LaurentPoly.constant(0)])
+    key = ("direct", spec, p, arg)
+    sums = MEMO.get(key) or MEMO.setdefault(key, [LaurentPoly.constant(0)])
     if n >= len(sums):
         power = arg ** (len(sums) - 1)
         for k in range(len(sums), n + 1):
@@ -153,8 +154,7 @@ def corollary_expansions_check(spec: FSpec, tp: LaurentPoly, N: int) -> Report:
     tri = s1_triangle(spec, tp, N + 1)
     report = Report("corollary-expansions", {"f": spec.render(), "t": tp, "N": N})
     for n in range(N + 1):
-        s = n * (n + 1) // 2
-        pref = bang_f(spec, n) * tp ** (-s)
+        pref = bang_ft(spec, tp, n)
         F = [None] + [fharmonic_direct(spec, j, n, tp ** j) for j in range(1, 5)]
         closed = {
             2: pref * F[1],

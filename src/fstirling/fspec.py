@@ -25,10 +25,11 @@ numeric t, and vice versa.  ``check_config`` reads t in each form, the text of
 ``--t`` included, into one nonzero constant or monomial ``LaurentPoly``; every
 library function that takes t takes that value, as ``tp``, and uses it as given.
 
-``MEMO`` is the one store of what the recurrences over f have built so far:
-the first-kind rows of ``stirling`` under ``("s1", spec, tp)`` and the direct
-partial sums of ``fharmonic`` under ``("direct", spec, p, arg)``.  ``cli.main``
-empties it at the start of each command.
+``MEMO`` is the one store of what the recurrences over f have built so far,
+each a list extended on demand, so a hit builds nothing: products n!_f under
+``("bang", spec)``, first-kind rows under ``("s1", spec, tp)`` and the direct
+partial sums under ``("direct", spec, p, arg)``.  ``cli.main`` empties it at
+the start of each command.
 """
 
 from __future__ import annotations
@@ -249,18 +250,15 @@ def check_config(spec: FSpec, t: TParam) -> LaurentPoly:
 
 
 def bang_f(spec: FSpec, n: int) -> LaurentPoly:
-    """prod_{j=1}^{n} f(j); the empty product for n = 0."""
+    """prod_{j=1}^{n} f(j), 1 for n = 0, from the running products in ``MEMO``;
+    a product whose f value fails is not kept."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if spec.symbolic:
-        acc = LaurentPoly.constant(1)
-        for j in range(1, n + 1):
-            acc = acc * eval_f(spec, j)
-        return acc
-    num = den = 1
-    for a, b in f_pairs(spec, 1, n + 1):
-        num, den = num * a, den * b
-    return LaurentPoly.constant(Fraction(num, den))
+    key = ("bang", spec)
+    prods = MEMO.get(key) or MEMO.setdefault(key, [LaurentPoly.constant(1)])
+    for j in range(len(prods), n + 1):
+        prods.append(prods[-1] * eval_f(spec, j))
+    return prods[n]
 
 
 def bang_ft(spec: FSpec, tp: LaurentPoly, n: int) -> LaurentPoly:

@@ -20,6 +20,7 @@ from .laurent import LaurentPoly
 from .report import Report
 
 ORACLE_CAP = 15
+_ZERO = LaurentPoly.constant(0)
 
 
 class Triangle(NamedTuple):
@@ -30,7 +31,7 @@ class Triangle(NamedTuple):
 
     def entry(self, n: int, k: int) -> LaurentPoly:
         if k < 0 or k > n:
-            return LaurentPoly.constant(0)
+            return _ZERO
         if n > self.rows:
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
@@ -47,10 +48,11 @@ def s1_triangle(spec: FSpec, tp: LaurentPoly, N: int) -> Triangle:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    rows = MEMO.setdefault(("s1", spec, tp), [(LaurentPoly.constant(1),)])
+    key = ("s1", spec, tp)
+    rows = MEMO.get(key) or MEMO.setdefault(key, [(LaurentPoly.constant(1),)])
     for n in range(len(rows), N + 1):
         # Row 1 takes scale 0, so f(0) is never evaluated.
-        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else LaurentPoly.constant(0)
+        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else _ZERO
         prev = rows[n - 1]
         rows.append((scale * prev[0], *(scale * a + b for a, b in zip(prev[1:], prev)),
                      prev[-1]))
@@ -82,15 +84,13 @@ def s1_column_closed_forms(spec: FSpec, tp: LaurentPoly, N: int) -> Report:
         "s1-column-closed-forms", {"f": spec.render(), "t": tp, "N": N}
     )
     for n in range(N + 1):
-        lhs = tri.entry(n + 1, 1)
-        rhs = bang_ft(spec, tp, n)
-        report.check((n, 1), lhs, rhs)
+        nft = bang_ft(spec, tp, n)
+        report.check((n, 1), tri.entry(n + 1, 1), nft)
         for k in range(2, n + 2):
-            acc = LaurentPoly.constant(0)
+            acc = _ZERO
             for j in range(1, n + 1):
                 acc = acc + tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / bang_f(spec, j)
-            rhs_k = bang_ft(spec, tp, n) * acc
-            report.check((n, k), tri.entry(n + 1, k), rhs_k)
+            report.check((n, k), tri.entry(n + 1, k), nft * acc)
     return report
 
 

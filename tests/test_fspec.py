@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fstirling import laurent
+from fstirling.fharmonic import fharmonic_direct
 from fstirling.fspec import (
+    MEMO,
     FSpecError,
     bang_f,
     bang_ft,
@@ -23,6 +26,7 @@ from fstirling.fspec import (
     table,
 )
 from fstirling.laurent import LaurentPoly
+from fstirling.stirling import s1_triangle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -232,18 +236,45 @@ def _bang_f_by_products(spec, n):
     qpow(-2, Fraction(3, 2)), qpow(1), table([Fraction(1, 2), -3, 4, Fraction(5, 9)]),
 ], ids=["linear", "linear-rational", "poly", "qpow-numeric", "qpow-symbolic", "table"])
 def test_bang_f_matches_the_product_of_f_values(spec):
-    for n in range((len(spec.table) or 8) + 1):
+    MEMO.clear()
+    top = len(spec.table) or 8
+    # ascending extends the stored products one at a time; descending reads them back
+    for n in [*range(top + 1), *range(top, -1, -1)]:
         got, want = bang_f(spec, n), _bang_f_by_products(spec, n)
         assert (got.var, got.lo, got.num, got.den) == (want.var, want.lo, want.num, want.den)
+    assert len(MEMO["bang", spec]) == top + 1
 
 
-@pytest.mark.parametrize("spec,message", [
-    (linear(1, -3), "f(3) = 0 for spec 'linear:1,-3'"),
-    (table([1, 2, 3]), r"f(4) is outside the table (length 3)"),
-    (qpow(-2, 0), "f(1) = 0^-1 is undefined"),
+@pytest.mark.parametrize("spec,message,kept", [
+    (linear(1, -3), "f(3) = 0 for spec 'linear:1,-3'", 3),
+    (table([1, 2, 3]), r"f(4) is outside the table (length 3)", 4),
+    (qpow(-2, 0), "f(1) = 0^-1 is undefined", 1),
 ], ids=["zero-value", "past-the-table", "zero-base"])
-def test_bang_f_raises_where_the_product_does(spec, message):
-    for compute in (bang_f, _bang_f_by_products):
+def test_bang_f_raises_where_the_product_does(spec, message, kept):
+    MEMO.clear()
+    for compute in (bang_f, _bang_f_by_products, bang_f):
         with pytest.raises(FSpecError) as info:
             compute(spec, 6)
         assert message in str(info.value)
+    # the store holds the products before the failing n, and no other
+    assert MEMO["bang", spec] == [_bang_f_by_products(spec, n) for n in range(kept)]
+
+
+def test_a_store_hit_builds_nothing(monkeypatch):
+    spec = linear(2, 1)
+    tp = check_config(spec, Fraction(3, 2))
+    arg = tp ** 2
+    MEMO.clear()
+    s1_triangle(spec, tp, 8)
+    fharmonic_direct(spec, 2, 8, arg)
+    bang_f(spec, 8)
+    made = []
+    make = laurent._make
+    monkeypatch.setattr(laurent, "_make", lambda *args: made.append(args) or make(*args))
+    zeros = []
+    for n in range(9):
+        zeros.append(s1_triangle(spec, tp, n).entry(n, n + 1))
+        fharmonic_direct(spec, 2, n, arg)
+        bang_f(spec, n)
+    assert made == []
+    assert zeros == [0] * 9

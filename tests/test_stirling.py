@@ -231,6 +231,31 @@ def test_s2_diff_coeff_reduces_to_classical():
         assert s2_diff_coeff(spec, ONE, n, k) == v
 
 
+@pytest.mark.parametrize("text,t", [("qpow:2,1", 1), ("qpow:-3/2,0", Fraction(3, 2)),
+                                    ("qpow:1/3,2", Fraction(-2, 5)), ("qpow:1", Fraction(-2, 5))])
+def test_qpow_diff_coeffs_are_a_geometric_closed_form(text, t):
+    """For f(m) = base^(m+offset), g(m) = f(m)^k t^(-mk) = A c^m for m >= 1,
+    with A = base^(k offset) and c = (base/t)^k, while g(0) is read as 0:
+    Delta^j[g](0)/j! = A ((c - 1)^j - (-1)^j)/j!, k = 1..4, j <= 10.  For the
+    symbolic base q the right side is the binomial expansion in q."""
+    spec = parse_fspec(text)
+    base, offset = spec.params
+    tp = check_config(spec, t)
+    for k in range(1, 5):
+        for j in range(11):
+            got = s2_diff_coeff(spec, tp, k, j)
+            if base is None:
+                # A ((c - 1)^j - (-1)^j)
+                #     = sum_{1<=i<=j} C(j, i) (-1)^(j-i) t^(-ki) q^(k offset + ki)
+                want = {k * offset + k * i: Fraction(math.comb(j, i) * (-1) ** (j - i),
+                                                    math.factorial(j)) / Fraction(t) ** (k * i)
+                        for i in range(1, j + 1)}
+                assert got.terms == want, (k, j)
+            else:
+                A, c = base ** (k * offset), (base / Fraction(t)) ** k
+                assert got == A * ((c - 1) ** j - (-1) ** j) / math.factorial(j), (k, j)
+
+
 def _diff_coeff_by_binomial_sum(spec, tp, k, j):
     """Delta^j[g](0)/j! written out as sum_m C(j, m) (-1)^(j-m) g(m) / j!."""
     acc = LaurentPoly.constant(0)
