@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 from .cyclotomic import power_coeffs, twisted_product_coeff
 # Re-exported: the benchmark tracer times the kernel under this module's name.
 from .eulersum import euler_sum_numeric
-from .fspec import MEMO, FSpec, bang_f, bang_ft, eval_f
+from .fspec import ZERO, FSpec, bang_f, bang_ft, eval_f, stored
 from .laurent import LaurentPoly
 from .report import Report
 from .stirling import s1_triangle
@@ -26,20 +26,13 @@ def fharmonic_direct(spec: FSpec, p: int, n: int, arg) -> LaurentPoly:
     """Exact partial sum  sum_{k=1}^{n} arg^k / f(k)^p.
 
     ``arg`` is the substituted power of t (a rational, the formal variable,
-    or a monomial in a substitution variable).  Sums already computed for
-    this (f, p, arg) are kept in ``fspec.MEMO`` and extended on demand; a term
-    whose f value fails is not kept.
+    or a monomial in a substitution variable), read from the sums
+    ``fspec.stored`` keeps for this (f, p, arg).
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    key = ("direct", spec, p, arg)
-    sums = MEMO.get(key) or MEMO.setdefault(key, [LaurentPoly.constant(0)])
-    if n >= len(sums):
-        power = arg ** (len(sums) - 1)
-        for k in range(len(sums), n + 1):
-            power = power * arg
-            sums.append(sums[-1] + power / eval_f(spec, k) ** p)
-    return sums[n]
+    return stored(("direct", spec, p, arg), ZERO, n,
+                  lambda sums, k: sums[-1] + arg ** k / eval_f(spec, k) ** p)[n]
 
 
 def _row_and_scale(spec: FSpec, tp: LaurentPoly, p: int, n: int) -> Tuple[list, LaurentPoly]:

@@ -25,11 +25,13 @@ numeric t, and vice versa.  ``check_config`` reads t in each form, the text of
 ``--t`` included, into one nonzero constant or monomial ``LaurentPoly``; every
 library function that takes t takes that value, as ``tp``, and uses it as given.
 
-``MEMO`` is the one store of what the recurrences over f have built so far,
-each a list extended on demand, so a hit builds nothing: products n!_f under
-``("bang", spec)``, first-kind rows under ``("s1", spec, tp)`` and the direct
-partial sums under ``("direct", spec, p, arg)``.  ``cli.main`` empties it at
-the start of each command.
+``MEMO`` is the one store of what the recurrences over f have built so far:
+products n!_f under ``("bang", spec)``, first-kind rows under
+``("s1", spec, tp)`` and the direct partial sums under
+``("direct", spec, p, arg)``.  Only ``stored`` reads it: each entry is a list
+extended on demand, a read the list already covers builds nothing, and an
+entry whose step raises, as when its f value fails, is not kept.  ``cli.main``
+empties it at the start of each command.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd, lcm, log2
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .laurent import LaurentPoly
 
 Q_VAR = "q"
 MEMO: dict = {}
+ZERO, ONE = LaurentPoly.constant(0), LaurentPoly.constant(1)
 
 
 class FSpecError(ValueError):
@@ -249,16 +252,20 @@ def check_config(spec: FSpec, t: TParam) -> LaurentPoly:
     return tp
 
 
+def stored(key: tuple, first, n: int, step: Callable[[list, int], object]) -> list:
+    """The list ``MEMO`` keeps under ``key``, begun with ``first`` (a shared
+    constant) and extended through index n by appending ``step(seq, j)``."""
+    seq = MEMO.get(key) or MEMO.setdefault(key, [first])
+    for j in range(len(seq), n + 1):
+        seq.append(step(seq, j))
+    return seq
+
+
 def bang_f(spec: FSpec, n: int) -> LaurentPoly:
-    """prod_{j=1}^{n} f(j), 1 for n = 0, from the running products in ``MEMO``;
-    a product whose f value fails is not kept."""
+    """prod_{j=1}^{n} f(j), 1 for n = 0, from the running products in ``MEMO``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = ("bang", spec)
-    prods = MEMO.get(key) or MEMO.setdefault(key, [LaurentPoly.constant(1)])
-    for j in range(len(prods), n + 1):
-        prods.append(prods[-1] * eval_f(spec, j))
-    return prods[n]
+    return stored(("bang", spec), ONE, n, lambda prods, j: prods[-1] * eval_f(spec, j))[n]
 
 
 def bang_ft(spec: FSpec, tp: LaurentPoly, n: int) -> LaurentPoly:

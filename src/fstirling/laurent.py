@@ -4,13 +4,15 @@ A value is ``(var, lo, num, den)``, FLINT's ``fmpq_poly`` layout: the
 coefficient of ``var^(lo + i)`` is ``num[i] / den``, ``num`` is a tuple of ints
 with no zero at either end (empty, with ``lo == 0``, for zero) and ``den > 0``
 shares no factor with all of ``num``; a constant, zero included, has ``var``
-None and takes the other operand's.  One normalizer builds every result but a
-negation, which keeps these conditions, so equal values have equal fields.  A
-product of two polynomials of two or more terms packs each integer list into
-one int (Kronecker substitution), makes one big-int multiply and unpacks the
-digits; a one-term operand scales the other list, and ``pack_entries`` packs
-values for r-fold products.  Values are immutable by convention and hash by
-value.  No other module reads the layout.
+None and takes the other operand's.  One builder makes every value from fields
+that keep these conditions, so equal values have equal fields: ``_make`` trims
+and reduces a sum or a cut first, while a product, a monomial's power, a
+negation and an inverse are born reduced.  A product of two polynomials of two
+or more terms packs each integer list into one int (Kronecker substitution),
+makes one big-int multiply and unpacks the digits; a one-term operand scales
+the other list, and ``pack_entries`` packs values for r-fold products.  Values
+are immutable by convention and hash by value.  No other module reads the
+layout.
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"cannot coerce {type(c).__name__} to a rational")
 
 
+def _build(var: str | None, lo: int, num: tuple, den: int) -> "LaurentPoly":
+    """The one builder: a value from trimmed, reduced fields, a constant's var dropped."""
+    p = object.__new__(LaurentPoly)
+    p.var, p.lo, p.num, p.den = var if lo or len(num) > 1 else None, lo, num, den
+    return p
+
+
 def _make(var: str | None, lo: int, num, den: int) -> "LaurentPoly":
-    """The one normalizer: trim end zeros, divide out the content gcd, drop a constant's var."""
+    """Trim end zeros, divide out the content gcd, and build."""
     start, stop = 0, len(num)
     while stop and not num[stop - 1]:
         stop -= 1
@@ -42,10 +51,7 @@ def _make(var: str | None, lo: int, num, den: int) -> "LaurentPoly":
     if var is None and (lo or len(num) > 1):
         raise ValueError("a non-constant Laurent polynomial needs a variable")
     g = gcd(den, *num)
-    p = object.__new__(LaurentPoly)
-    p.var, p.lo, p.den = var if lo or len(num) > 1 else None, lo, den // g
-    p.num = num if g == 1 else tuple(c // g for c in num)
-    return p
+    return _build(var, lo, num if g == 1 else tuple(c // g for c in num), den // g)
 
 
 def _pack(coeffs, width: int) -> int:
@@ -203,9 +209,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        p = object.__new__(LaurentPoly)
-        p.var, p.lo, p.num, p.den = self.var, self.lo, tuple(-c for c in self.num), self.den
-        return p
+        return _build(self.var, self.lo, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -215,14 +219,18 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        a, b = self.num, other.num
+        if not (self.num and other.num):
+            return _build(None, 0, (), 1)
+        # Each den is cancelled against the other factor's content, as Fraction
+        # does; by Gauss's lemma the product of the reduced lists is then reduced.
+        g, h = gcd(other.den, *self.num), gcd(self.den, *other.num)
+        a = self.num if g == 1 else [c // g for c in self.num]
+        b = other.num if h == 1 else [c // h for c in other.num]
         if len(a) == 1:
             a, b = b, a
-        if len(b) == 1:
-            num = [c * b[0] for c in a]
-        else:
-            num = _packed_product(a, b) if a and b else []
-        return _make(self.var or other.var, self.lo + other.lo, num, self.den * other.den)
+        num = [c * b[0] for c in a] if len(b) == 1 else _packed_product(a, b)
+        return _build(self.var or other.var, self.lo + other.lo, tuple(num),
+                      self.den // h * (other.den // g))
 
     __rmul__ = __mul__
 
@@ -231,7 +239,7 @@ class LaurentPoly:
         if len(self.num) != 1:
             raise ZeroDivisionError("only nonzero Laurent monomials are invertible")
         c = self.num[0]
-        return _make(self.var, -self.lo, (self.den if c > 0 else -self.den,), abs(c))
+        return _build(self.var, -self.lo, (self.den if c > 0 else -self.den,), abs(c))
 
     def __truediv__(self, other) -> "LaurentPoly":
         return self * self._coerce(other).inverse()
@@ -244,8 +252,8 @@ class LaurentPoly:
             return self.inverse() ** (-exponent)
         if len(self.num) == 1:
             # A monomial's power is one more monomial: no multiplies.
-            return _make(self.var, self.lo * exponent, (self.num[0] ** exponent,),
-                         self.den ** exponent)
+            return _build(self.var, self.lo * exponent, (self.num[0] ** exponent,),
+                          self.den ** exponent)
         result = LaurentPoly.constant(1)
         base = self
         e = exponent

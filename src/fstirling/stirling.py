@@ -15,12 +15,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fspec import MEMO, FSpec, bang_f, bang_ft, eval_f, f_pairs
+from .fspec import ONE, ZERO, FSpec, bang_f, bang_ft, eval_f, f_pairs, stored
 from .laurent import LaurentPoly
 from .report import Report
 
 ORACLE_CAP = 15
-_ZERO = LaurentPoly.constant(0)
 
 
 class Triangle(NamedTuple):
@@ -31,7 +30,7 @@ class Triangle(NamedTuple):
 
     def entry(self, n: int, k: int) -> LaurentPoly:
         if k < 0 or k > n:
-            return _ZERO
+            return ZERO
         if n > self.rows:
             raise IndexError(f"row {n} beyond computed rows {self.rows}")
         return self.entries[n][k]
@@ -42,21 +41,19 @@ def s1_triangle(spec: FSpec, tp: LaurentPoly, N: int) -> Triangle:
 
         entry(n, k) = f(n-1) t^(1-n) entry(n-1, k) + entry(n-1, k-1)
 
-    with entry(0, 0) = 1.  Rows already built for this (f, t) are kept in
-    ``fspec.MEMO`` and extended on demand; a row whose f value fails is not
-    kept.  Rows are tuples of immutable values, so triangles share them.
+    with entry(0, 0) = 1, from the rows ``fspec.stored`` keeps for this
+    (f, t).  Rows are tuples of immutable values, so triangles share them.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    key = ("s1", spec, tp)
-    rows = MEMO.get(key) or MEMO.setdefault(key, [(LaurentPoly.constant(1),)])
-    for n in range(len(rows), N + 1):
+
+    def row(rows: list, n: int) -> tuple:
         # Row 1 takes scale 0, so f(0) is never evaluated.
-        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else _ZERO
-        prev = rows[n - 1]
-        rows.append((scale * prev[0], *(scale * a + b for a, b in zip(prev[1:], prev)),
-                     prev[-1]))
-    return Triangle(N, tuple(rows[: N + 1]))
+        scale = eval_f(spec, n - 1) * tp ** (1 - n) if n >= 2 else ZERO
+        prev = rows[-1]
+        return (scale * prev[0], *(scale * a + b for a, b in zip(prev[1:], prev)), prev[-1])
+
+    return Triangle(N, tuple(stored(("s1", spec, tp), (ONE,), N, row)[: N + 1]))
 
 
 def s1_entry_oracle(spec: FSpec, tp: LaurentPoly, n: int, k: int) -> LaurentPoly:
@@ -87,7 +84,7 @@ def s1_column_closed_forms(spec: FSpec, tp: LaurentPoly, N: int) -> Report:
         nft = bang_ft(spec, tp, n)
         report.check((n, 1), tri.entry(n + 1, 1), nft)
         for k in range(2, n + 2):
-            acc = _ZERO
+            acc = ZERO
             for j in range(1, n + 1):
                 acc = acc + tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / bang_f(spec, j)
             report.check((n, k), tri.entry(n + 1, k), nft * acc)

@@ -86,6 +86,18 @@ def test_direct_sums_extend_on_demand(spec, t):
     assert [len(sums) for sums in MEMO.values()] == [10]
 
 
+def test_direct_sums_keep_no_failed_term():
+    MEMO.clear()
+    for _ in range(2):
+        with pytest.raises(FSpecError, match=r"f\(13\) is outside the table \(length 12\)"):
+            fharmonic_direct(TABLE, 2, 14, 1)
+    assert len(MEMO["direct", TABLE, 2, 1]) == 13
+    got = fharmonic_direct(TABLE, 2, 12, 1)
+    MEMO.clear()
+    fresh = fharmonic_direct(TABLE, 2, 12, 1)
+    assert (got.var, got.lo, got.num, got.den) == (fresh.var, fresh.lo, fresh.num, fresh.den)
+
+
 @pytest.mark.parametrize("spec,t", MATRIX)
 def test_telescoping(spec, t):
     tp = check_config(spec, t)

@@ -269,8 +269,8 @@ def test_a_store_hit_builds_nothing(monkeypatch):
     fharmonic_direct(spec, 2, 8, arg)
     bang_f(spec, 8)
     made = []
-    make = laurent._make
-    monkeypatch.setattr(laurent, "_make", lambda *args: made.append(args) or make(*args))
+    build = laurent._build  # every value, products and powers included, is built here
+    monkeypatch.setattr(laurent, "_build", lambda *args: made.append(args) or build(*args))
     zeros = []
     for n in range(9):
         zeros.append(s1_triangle(spec, tp, n).entry(n, n + 1))
@@ -278,3 +278,17 @@ def test_a_store_hit_builds_nothing(monkeypatch):
         bang_f(spec, n)
     assert made == []
     assert zeros == [0] * 9
+
+
+def test_running_products_take_no_gcd_of_two_big_numbers(monkeypatch):
+    # Each den is cancelled against the other factor's content before the multiply,
+    # so n!_f at n = 400 for f(n) = (3/2)^n, a 127,000-bit numerator over 2^80200,
+    # never takes a gcd whose arguments are all as large as the product.
+    smallest = []
+    gcd = laurent.gcd
+    monkeypatch.setattr(laurent, "gcd", lambda *args: smallest.append(
+        min(abs(a).bit_length() for a in args)) or gcd(*args))
+    MEMO.clear()
+    spec = parse_fspec("qpow:3/2,0")
+    assert bang_f(spec, 400).constant_value() == Fraction(3, 2) ** 80200
+    assert smallest and max(smallest) < 1000

@@ -1,5 +1,6 @@
 """The package's public namespace, the boundary of the ring layout, the
-modules' private names, and the one place where t is checked."""
+modules' private names, the one place where t is checked, and the one
+module that keeps the store."""
 
 import ast
 import pathlib
@@ -91,3 +92,33 @@ def test_the_t_scan_sees_calls_and_imports():
     assert sorted(_t_uses(tree)) == [
         "line 1 imports TParam", "line 2 names TParam", "line 3 calls check_config",
         "line 3 calls check_config"]
+
+
+def _memo_uses(tree):
+    """Each import of ``MEMO``, each ``MEMO.clear()`` call, and each other
+    mention of ``MEMO``, which reads or writes the store."""
+    clears = {id(node.func.value) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "clear"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "MEMO" for a in node.names):
+            yield f"line {node.lineno} imports MEMO"
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "MEMO":
+            yield f"line {node.lineno} {'clears' if id(node) in clears else 'uses'} MEMO"
+
+
+def test_only_fspec_keeps_the_store():
+    uses = {path.name: list(_memo_uses(ast.parse(path.read_text())))
+            for path in sorted(SRC.glob("*.py")) if path.name != "fspec.py"}
+    found = {name: found for name, found in uses.items() if found}
+    assert list(found) == ["cli.py"]
+    assert {use.split(" ", 2)[2] for use in found["cli.py"]} == {"imports MEMO", "clears MEMO"}
+
+
+def test_the_store_scan_sees_imports_clears_and_other_uses():
+    tree = ast.parse("from .fspec import MEMO, stored\n"
+                     "MEMO.clear(); fspec.MEMO.clear()\n"
+                     "rows = MEMO.get(key) or fspec.MEMO.setdefault(key, [])\n"
+                     "MEMO[key] = []\n")
+    assert sorted(_memo_uses(tree)) == [
+        "line 1 imports MEMO", "line 2 clears MEMO", "line 2 clears MEMO",
+        "line 3 uses MEMO", "line 3 uses MEMO", "line 4 uses MEMO"]
