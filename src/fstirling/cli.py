@@ -19,8 +19,8 @@ for every command, before it lifts the int-to-string digit limit for the
 command's work; the library takes the checked t as given.  The command
 process leaves through ``console_main``, without interpreter teardown.
 
-Every command's document is laid out here, through one CSV writer and one
-JSON writer; the library modules only compute.  Only argument parsing, the f
+Every command's document is laid out here, by one streamed writer per
+format; the library modules only compute.  Only argument parsing, the f
 parser and the report writer are imported up front; each command imports the
 modules it runs, so a cheap command does not load the verification suites.
 """
@@ -112,15 +112,13 @@ def _render_scalar(value, decimal: int | None) -> str:
     return _fixed_str(value.numerator * 10 ** decimal // value.denominator, decimal)
 
 
-def _csv_text(header, rows) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_lines(header, rows):
+    """``header`` then ``rows`` as the csv module's default dialect writes them,
+    a line at a time: no field holds a comma, a quote or a line break, so none
+    is quoted, and every line ends in CRLF."""
+    yield ",".join(header) + "\r\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\r\n"
 
 
 def _json_chunks(args, fields: dict, items):
@@ -143,8 +141,8 @@ def cmd_triangle(args) -> int:
     if args.format == "json":
         chunks = _json_chunks(args, {"rows": []}, ([render_value(e) for e in row] for row in rows))
     else:
-        chunks = (_csv_text(("n", "k", "entry"), ((n, k, str(e)) for n, row in enumerate(rows)
-                                                   for k, e in enumerate(row))),)
+        chunks = _csv_lines(("n", "k", "entry"),
+                            ((n, k, e) for n, row in enumerate(rows) for k, e in enumerate(row)))
     _emit(chunks, args.output)
     return 0
 
@@ -179,8 +177,8 @@ def cmd_convpoly(args) -> int:
         chunks = _json_chunks(args, {"variant": args.variant, "values": []},
                               ({"n": n, "x": x, "value": render_value(v)} for n, x, v in rows))
     else:
-        chunks = (_csv_text(("n", "x", "value"),
-                            ((n, x, _render_scalar(v, args.decimal)) for n, x, v in rows)),)
+        chunks = _csv_lines(("n", "x", "value"),
+                            ((n, x, _render_scalar(v, args.decimal)) for n, x, v in rows))
     _emit(chunks, args.output)
     return 0
 

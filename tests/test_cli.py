@@ -1,6 +1,8 @@
 """Command line behavior: outputs, determinism, and exit codes."""
 
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -45,6 +47,47 @@ def test_triangle_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,k,entry"
     assert "4,2,11" in out
+
+
+# CSV documents whose fields are ints, Laurent polynomials in t (numeric and
+# symbolic), rationals past the digit limit, fixed decimals, and a header alone.
+CSV_COMMANDS = {
+    "s1-numeric-t": "triangle --kind s1 --f linear:2,1 --t 3/2 --rows 5",
+    "s1-symbolic-t": "triangle --kind s1 --f linear:2,1 --t symbolic --rows 5",
+    "s2-qpow": "triangle --kind s2 --f qpow:1 --t -2/5 --rows 5",
+    "s1-past-the-digit-limit": "triangle --f linear:1,0 --t 1/1000 --rows 60",
+    "convpoly": "convpoly --f linear:2,1 --t 3/2 --n-max 4 --x-max 9",
+    "convpoly-decimal": "convpoly --f linear:2,1 --t 3/2 --n-max 4 --x-max 9 --decimal 7",
+    "convpoly-sigma~": "convpoly --f linear:2,1 --t -2/5 --variant sigma~ --n-max 3 --x-max 8",
+    "header-only": "convpoly --f linear:1,0 --n-max 0 --x-max 0",
+}
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS.values(), ids=list(CSV_COMMANDS))
+def test_csv_is_what_the_csv_module_writes(command, tmp_path, capsys):
+    """The bytes the csv module's default dialect writes for the same rows:
+    CRLF line ends and no quoted field."""
+    path = tmp_path / "out.csv"
+    assert run_cli(command.split() + ["--output", str(path)], capsys) == (0, "", "")
+    text = path.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] in (["n", "k", "entry"], ["n", "x", "value"])
+    assert {len(row) for row in rows} == {3}
+    rewritten = io.StringIO()
+    csv.writer(rewritten).writerows(rows)
+    assert rewritten.getvalue() == text
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("triangle --f linear:2,1 --t symbolic --rows 20", 1 + 21 * 22 // 2),
+    ("convpoly --f linear:2,1 --t 3/2 --n-max 4 --x-max 9", 1 + 9 + 8 + 7 + 6 + 5),
+], ids=["triangle", "convpoly"])
+def test_csv_reaches_the_writer_a_line_at_a_time(command, lines, monkeypatch, capsys):
+    chunks = []
+    monkeypatch.setattr(cli, "_emit", lambda pieces, path: chunks.extend(pieces))
+    assert run_cli(command.split(), capsys) == (0, "", "")
+    assert all(chunk.endswith("\r\n") and chunk.count("\n") == 1 for chunk in chunks)
+    assert len(chunks) == lines
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -616,13 +659,16 @@ def _tracer_target_modules():
      {"fstirling.stirling", "fstirling.fharmonic", "fstirling.convpoly",
       "fstirling.cyclotomic", "fstirling.pool"}),
     (["triangle", "--f", "linear:1,0", "--rows", "0"],
-     {"fstirling.fharmonic", "fstirling.convpoly", "fstirling.cyclotomic",
+     {"csv", "fstirling.fharmonic", "fstirling.convpoly", "fstirling.cyclotomic",
+      "fstirling.pool"}),
+    (["convpoly", "--f", "linear:2,1", "--n-max", "2", "--x-max", "4"],
+     {"csv", "fstirling.fharmonic", "fstirling.cyclotomic", "fstirling.eulersum",
       "fstirling.pool"}),
     (["harmonic", "--f", "linear:2,1", "--t", "3/2", "--p", "4", "--n", "5", "--method", "ftilde"],
      {"fstirling.series", "fstirling.convpoly", "fstirling.pool"}),
     # One suite never forks, so it does not load the worker pool.
     (["verify", "--suite", "euler-sum-numeric", "--f", "linear:2,1"], {"fstirling.pool"}),
-], ids=["eulersum", "triangle", "harmonic-ftilde", "verify-one-suite"])
+], ids=["eulersum", "triangle", "convpoly", "harmonic-ftilde", "verify-one-suite"])
 def test_a_command_loads_only_the_modules_it_runs(argv, absent):
     loaded = _modules_loaded_by(argv)
     assert "fstirling.cli" in loaded
