@@ -222,8 +222,7 @@ def _harmonic_routes(spec, tp, n):
         for p in range(1, 6):
             direct = fharmonic.fharmonic_direct(spec, p, m, tp ** p)
             rep.check((m, p, "ftilde"), fharmonic.harmonic_via_ftilde(spec, tp, p, m), direct)
-            if p in (2, 3, 5):
-                rep.check((m, p, "roots"), fharmonic.harmonic_via_roots(spec, tp, p, m), direct)
+            rep.check((m, p, "roots"), fharmonic.harmonic_via_roots(spec, tp, p, m), direct)
         if not spec.symbolic:
             for p in range(1, 5):
                 rep.check((m, p, "subst"), fharmonic.harmonic_via_subst(spec, p, m),

@@ -9,11 +9,11 @@ of four shapes, with a tiny text DSL for the CLI:
     qpow:<offset>         f(n) = q^(n+offset), q the formal variable
     qpow:<base>,<offset>  f(n) = base^(n+offset), numeric base
     table:<path>          f(n) = values[n-1] from a JSON array of numbers
-                          (read from their decimal text) and "p/q" strings
+                          and "p/q" strings, held as reduced (num, den) pairs
 
-Numbers in this text and in the text of t are read by ``rational``, under
-the int-to-string digit limit, exponents included; a numeric qpow's f(1)
-is held to the same limit.
+Numbers in this text, in table files and in the text of t are read from
+their text (``rational``), under the int-to-string digit limit, exponents
+included; a numeric qpow's f(1) is held to the same limit.
 
 f(n) = 0 is rejected at the point of first use: every downstream sum divides
 by f(k) powers, so a zero value would silently poison results.
@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd, lcm, log2
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
@@ -107,12 +106,13 @@ def qpow(offset: int, base=None) -> FSpec:
 def table(values: Sequence, path: str = "<inline>") -> FSpec:
     if any(isinstance(v, bool) for v in values):
         raise FSpecError("table contains a boolean value")
-    vals = tuple(rational(v) if isinstance(v, str) else Fraction(v) for v in values)
-    if not vals:
+    pairs = tuple((rational(v) if isinstance(v, str) else Fraction(v)).as_integer_ratio()
+                  for v in values)
+    if not pairs:
         raise FSpecError("table must be non-empty")
-    if any(v == 0 for v in vals):
+    if any(num == 0 for num, _ in pairs):
         raise FSpecError("table contains a zero value")
-    return FSpec("table", (), vals, path)
+    return FSpec("table", (), pairs, path)
 
 
 def _reject_constant(name: str):
@@ -164,7 +164,6 @@ def parse_fspec(text: str) -> FSpec:
     raise FSpecError(f"unknown fspec kind {kind!r}")
 
 
-@lru_cache(maxsize=64)
 def int_coeffs(spec: FSpec) -> Tuple[Tuple[int, ...], int]:
     """(c, d) with f(n) = sum_i c[i] n^i / d, for the linear and poly kinds."""
     coeffs = spec.params[::-1] if spec.kind == "linear" else spec.params
@@ -195,7 +194,7 @@ def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
         for n in range(lo, hi):
             if n > len(spec.table):
                 raise FSpecError(f"f({n}) is outside the table (length {len(spec.table)})")
-            yield spec.table[n - 1].as_integer_ratio()
+            yield spec.table[n - 1]
     else:
         raise FSpecError(f"unknown fspec kind {spec.kind!r}")
 

@@ -191,6 +191,18 @@ def test_roots_route_at_composite_order(p, capsys):
     assert run_cli(base + ["--method", "roots"], capsys) == direct
 
 
+@pytest.mark.parametrize("f,t", [
+    ("linear:2,1", "3/2"), ("linear:2,1", "symbolic"), ("qpow:1", "1"),
+    ("table:" + os.path.join(ROOT, "tests", "data", "table12.json"), "3/2"),
+], ids=["linear-3/2", "linear-symbolic", "qpow-1", "table-3/2"])
+def test_harmonic_routes_check_the_roots_route_at_every_order(f, t):
+    spec = parse_fspec(f)
+    (rep,) = cli.run_suite("harmonic-routes", spec, check_config(spec, t), 6)
+    roots = {c.indices[:2] for c in rep.cells if c.indices[2] == "roots"}
+    assert roots == {(m, p) for m in range(7) for p in range(1, 6)}
+    assert rep.passed
+
+
 def test_negative_fraction_after_t_is_its_value(capsys):
     base = ["triangle", "--f", "linear:1,0", "--rows", "2"]
     code, out, err = run_cli(base + ["--t", "-2/5"], capsys)
@@ -579,6 +591,20 @@ def test_a_closed_pipe_exits_141_without_a_traceback(argv):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_reader_that_leaves_mid_write_ends_the_command_with_141():
+    """As `fstirling eulersum ... | head -c 1` does: the reader takes one byte
+    of the 104 KB value and closes the pipe while the command still writes."""
+    argv = ["eulersum", "--f", "linear:1,0", "--r", "2", "--N", "30000"]
+    for lead in ENTRIES.values():
+        proc = subprocess.Popen([sys.executable, *lead, *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=BUFFERED_ENV)
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        with proc.stderr:
+            assert (code, proc.stderr.read()) == (141, b"")
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -102,6 +102,35 @@ def test_zero_values_rejected():
         eval_f(linear(1, 0), 0)
 
 
+@pytest.mark.parametrize("values", [
+    [2, -1, 3, 5],
+    [Fraction(2), Fraction(-1), Fraction(6, 2), Fraction(5)],
+    ["2.0", "-1", "3", "5.00"],
+    ["4/2", "-3/3", "6/2", "10/2"],
+    [2, "-2/2", Fraction(3), "0.5e1"],
+])
+def test_a_table_holds_reduced_integer_pairs(values):
+    """Equal values give equal specs with equal hashes, however they are written."""
+    spec = table(values)
+    assert spec.table == ((2, 1), (-1, 1), (3, 1), (5, 1))
+    assert spec == table([2, -1, 3, 5])
+    assert hash(spec) == hash(table([2, -1, 3, 5]))
+
+
+def test_table_pairs_are_in_lowest_terms_with_a_positive_denominator():
+    spec = table(["-0.5", "6/4", Fraction(-9, 12), Fraction(3, -4), 7])
+    assert spec.table == ((-1, 2), (3, 2), (-3, 4), (-3, 4), (7, 1))
+    assert all(isinstance(x, int) for pair in spec.table for x in pair)
+    assert [eval_f_scalar(spec, n) for n in range(1, 6)] == [
+        Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 4), Fraction(-3, 4), 7]
+
+
+@pytest.mark.parametrize("zero", [0, "0/3", "0.0", Fraction(0), "-0"])
+def test_a_zero_table_value_is_rejected_in_any_form(zero):
+    with pytest.raises(FSpecError, match="table contains a zero value"):
+        table([1, zero, 2])
+
+
 def test_zero_qpow_base_to_a_negative_power_rejected():
     spec = parse_fspec("qpow:0,-2")  # f(n) = 0^(n-2)
     with pytest.raises(FSpecError, match=r"f\(1\) = 0\^-1 is undefined"):

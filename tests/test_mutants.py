@@ -8,10 +8,18 @@ of them fails a cell it passes with the kernel intact.  The prop1 as-printed
 cells fail either way (KNOWN_ISSUES.md), so they never count.  A row lists
 only the configurations its suites run in: the modified-number and Euler-sum
 suites need numeric f.
+
+The suites compare values, never the text a command prints, so a corrupted
+printer passes them all.  The benchmark's oracle (``perfbench/oracles.py``)
+reads that text, so each printer row asserts that the suites pass and the
+oracle fails the command instead.
 """
 
 import contextlib
+import io
+import os
 import signal
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -20,6 +28,11 @@ import pytest
 from fstirling import (cli, convpoly, cyclotomic, eulersum, fharmonic, fspec, laurent,
                        series, stirling)
 from fstirling.fspec import parse_fspec
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import oracles  # noqa: E402
+from workloads import Op  # noqa: E402
 
 MODULES = (cli, convpoly, cyclotomic, eulersum, fharmonic, fspec, laurent, series,
            stirling)
@@ -86,6 +99,17 @@ def _prefix_weighted_sum(orig):
         P, S, D = orig(terms, count)
         return P, S + 1, D
     return prefix_weighted_sum
+
+
+def _coeff_texts(orig):
+    """The sign of the last coefficient flipped, in polynomials of 3 or more terms."""
+    def coeff_texts(poly):
+        texts = list(orig(poly))
+        if len(texts) >= 3:
+            e, c = texts[-1]
+            texts[-1] = (e, c[1:] if c.startswith("-") else "-" + c)
+        return iter(texts)
+    return coeff_texts
 
 
 # kernel -> (owner, attribute, corruption, suites that must fail, configurations)
@@ -175,3 +199,24 @@ def test_a_corrupted_kernel_fails_the_suites_it_feeds(kernel, config, monkeypatc
     _patch(monkeypatch, owner, name, corrupt)
     missed = [suite for suite in suites if not _failures(config, suite) - intact[suite]]
     assert not missed, f"{kernel} corrupted, yet these suites pass: {missed}"
+
+
+# printer -> (owner, attribute, corruption, a command that prints through it)
+PRINTERS = {
+    "_coeff_texts": (laurent.LaurentPoly, "_coeff_texts", _coeff_texts,
+                     "triangle --f linear:2,1 --t symbolic --rows 6"),
+}
+
+
+@pytest.mark.parametrize("printer", PRINTERS)
+def test_a_corrupted_printer_passes_the_suites_but_fails_the_oracle(printer, monkeypatch):
+    owner, name, corrupt, command = PRINTERS[printer]
+    intact = {(config, suite): _intact_failures(config, suite)
+              for config in ALL for suite in cli.SUITES}
+    _patch(monkeypatch, owner, name, corrupt)
+    assert {key: _failures(*key) for key in intact} == intact
+    op, out = Op(tuple(command.split())), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(op.argv))
+    status, reason, _ = oracles.classify(op, ROOT, code, out.getvalue(), "", None)
+    assert (code, status) == (0, "wrong"), reason
