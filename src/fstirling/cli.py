@@ -258,8 +258,9 @@ _TRANSFORMS = ("numeric f", "modified-number transforms need numeric f values")
 # - body(spec, tp, n) returns the reports at depth n.
 SUITE_TABLE = {
     "s1-oracle": (12, (), _s1_oracle),  # brute force; stirling.ORACLE_CAP is 15
-    "s2-geom": (8, (), lambda spec, tp, n: stirling.s2_geom_transform_checks(
-        spec, tp, range(n + 1), range(6))),
+    "s2-geom": (8, (), lambda spec, tp, n: [
+        *stirling.s2_geom_transform_checks(spec, tp, range(n + 1), range(6)),
+        stirling.s2_row_inversion_check(spec, tp, n)]),
     "s2star-ogf": (NO_CAP, (_TRANSFORMS,), lambda spec, tp, n: [
         stirling.s2star_ogf_check(spec, k, n) for k in range(5)]),
     "s2star-egf": (8, (_TRANSFORMS,), lambda spec, tp, n: [
@@ -267,7 +268,8 @@ SUITE_TABLE = {
     "harmonic-routes": (10, (), _harmonic_routes),
     "wf": (10, (), lambda spec, tp, n: [fharmonic.s1_from_wf_check(spec, tp, n)]),
     "corollary": (10, (), lambda spec, tp, n: [
-        fharmonic.corollary_expansions_check(spec, tp, n)]),
+        fharmonic.corollary_expansions_check(spec, tp, n),
+        stirling.s1_column_closed_forms(spec, tp, n)]),
     "prop1": (6, (("numeric f", "substitution parameter requires numeric f values"),),
               lambda spec, tp, n: [
                   fharmonic.prop1_recurrence_check(spec, p, m)
@@ -341,8 +343,11 @@ def cmd_verify(args) -> int:
 
             processes = pool.processes_for(len(names))
             if processes > 1:
-                # Compile the suites' modules once, before the workers are forked.
+                # Compile the suites' modules, and json when reports are written,
+                # once, before the workers are forked.
                 _load_suite_modules()
+                if args.output:
+                    import_module("json")
                 # The two slowest suites start first, so neither is left to run alone.
                 order = sorted(range(len(names)), key=lambda i: names[i] not in SLOWEST_SUITES)
                 outputs = pool.run(suite_output, names, order, processes,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional, Tuple
 
-from .fspec import FSpec, f_pairs, int_coeffs
+from .fspec import FSpec, f_pairs
 
 
 def euler_sum_numeric(spec: FSpec, r: int, N: int, mode: str) -> Fraction:
@@ -141,7 +141,7 @@ def _tail_start(spec: FSpec, power: int, N: int) -> Optional[int]:
     must reach the tail."""
     if spec.kind != "linear" or power < 2:
         return None
-    (c0, c1), _ = int_coeffs(spec)
+    (c0, c1), _ = spec.params
     if c1 <= 0:
         return None
     m = max(1, _EM_START - c0 // c1)  # so that c0 + c1 m >= _EM_START c1 > 0
@@ -172,7 +172,7 @@ def _tail(spec: FSpec, s: int, m: int, N: int, bits: int) -> Tuple[int, int]:
     spec = linear:a,b with a > 0, s >= 2 and f(m) > 0.  The sum lies between
     S, the Euler-Maclaurin sum with _EM_TERMS corrections, and S + R, where R
     is the next correction."""
-    (c0, c1), d = int_coeffs(spec)
+    (c0, c1), d = spec.params
     K, v = _EM_TERMS, s - 1
     scaled, L = _scaled_bernoulli()
     # 2 c1 v L P^(s+2K-1) F(P, sign) is the integer polynomial

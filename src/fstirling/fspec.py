@@ -5,7 +5,8 @@ An FSpec describes f: {1, 2, ...} -> rationals (or q-power monomials) in one
 of four shapes, with a tiny text DSL for the CLI:
 
     linear:<a>,<b>        f(n) = a*n + b
-    poly:<c0>,<c1>,...    f(n) = c0 + c1*n + c2*n^2 + ...
+    poly:<c0>,<c1>,...    f(n) = c0 + c1*n + c2*n^2 + ...; both held as integers
+                          over one denominator, linear:1/2,-3/4 as ((-3, 2), 4)
     qpow:<offset>         f(n) = q^(n+offset), q the formal variable
     qpow:<base>,<offset>  f(n) = base^(n+offset), numeric base
     table:<path>          f(n) = values[n-1] from a JSON array of numbers
@@ -39,7 +40,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
 from math import gcd, lcm, log2
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -67,10 +67,11 @@ class FSpec(NamedTuple):
 
     def render(self) -> str:
         if self.kind == "linear":
-            a, b = self.params
-            return f"linear:{a},{b}"
+            (b, a), den = self.params
+            return f"linear:{Fraction(a, den)},{Fraction(b, den)}"
         if self.kind == "poly":
-            return "poly:" + ",".join(str(c) for c in self.params)
+            ints, den = self.params
+            return "poly:" + ",".join(str(Fraction(c, den)) for c in ints)
         if self.kind == "qpow":
             base, offset = self.params
             if base is None:
@@ -95,10 +96,14 @@ def rational(text: str) -> Fraction:
 
 
 def linear(alpha, beta) -> FSpec:
-    return FSpec("linear", (Fraction(alpha), Fraction(beta)))
+    return poly(beta, alpha)._replace(kind="linear")
 
 def poly(*coeffs) -> FSpec:
-    return FSpec("poly", tuple(Fraction(c) for c in coeffs))
+    """f(n) = c0 + c1 n + ..., held as (ints, den) with f(n) = sum_i ints[i] n^i / den,
+    den the lcm of the coefficients' denominators."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return FSpec("poly", (tuple(c.numerator * (den // c.denominator) for c in coeffs), den))
 
 def qpow(offset: int, base=None) -> FSpec:
     return FSpec("qpow", (None if base is None else Fraction(base), int(offset)))
@@ -164,39 +169,26 @@ def parse_fspec(text: str) -> FSpec:
     raise FSpecError(f"unknown fspec kind {kind!r}")
 
 
-def int_coeffs(spec: FSpec) -> Tuple[Tuple[int, ...], int]:
-    """(c, d) with f(n) = sum_i c[i] n^i / d, for the linear and poly kinds."""
-    coeffs = spec.params[::-1] if spec.kind == "linear" else spec.params
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
-def _raw_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
-    """f(n) for lo <= n < hi as integer pairs (num, den), den > 0, unreduced."""
+def _raw_f(spec: FSpec, n: int) -> Tuple[int, int]:
+    """f(n) as an integer pair (num, den), den > 0, unreduced."""
     if spec.kind in ("linear", "poly"):
-        ints, den = int_coeffs(spec)
-        if spec.kind == "linear":  # one integer add per term
-            offset, step = ints
-            nums = islice(accumulate(repeat(step), initial=offset + step * lo), hi - lo)
-        else:
-            nums = (sum(c * n ** i for i, c in enumerate(ints)) for n in range(lo, hi))
-        yield from zip(nums, repeat(den))
-    elif spec.kind == "qpow":
+        ints, den = spec.params
+        num = 0
+        for c in reversed(ints):
+            num = num * n + c
+        return num, den
+    if spec.kind == "qpow":
         base, offset = spec.params
         if base is None:
             raise FSpecError("symbolic q-power spec has no scalar value")
-        for n in range(lo, hi):
-            if not base and n + offset < 0:
-                raise FSpecError(
-                    f"f({n}) = 0^{n + offset} is undefined for spec {spec.render()!r}")
-            yield (base ** (n + offset)).as_integer_ratio()
-    elif spec.kind == "table":
-        for n in range(lo, hi):
-            if n > len(spec.table):
-                raise FSpecError(f"f({n}) is outside the table (length {len(spec.table)})")
-            yield spec.table[n - 1]
-    else:
-        raise FSpecError(f"unknown fspec kind {spec.kind!r}")
+        if not base and n + offset < 0:
+            raise FSpecError(f"f({n}) = 0^{n + offset} is undefined for spec {spec.render()!r}")
+        return (base ** (n + offset)).as_integer_ratio()
+    if spec.kind == "table":
+        if n > len(spec.table):
+            raise FSpecError(f"f({n}) is outside the table (length {len(spec.table)})")
+        return spec.table[n - 1]
+    raise FSpecError(f"unknown fspec kind {spec.kind!r}")
 
 
 def f_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
@@ -206,7 +198,8 @@ def f_pairs(spec: FSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
     a zero q-power base raised to a negative power."""
     if lo < 1:
         raise FSpecError(f"f is defined for n >= 1, got n={lo}")
-    for n, (num, den) in enumerate(_raw_pairs(spec, lo, hi), lo):
+    for n in range(lo, hi):
+        num, den = _raw_f(spec, n)
         if not num:
             raise FSpecError(f"f({n}) = 0 for spec {spec.render()!r}")
         g = gcd(num, den)

@@ -174,6 +174,24 @@ def s2_geom_transform_checks(spec: FSpec, tp: LaurentPoly, ms, ks) -> list:
     return reports
 
 
+def s2_row_inversion_check(spec: FSpec, tp: LaurentPoly, N: int) -> Report:
+    """Binomial inversion of the second-kind rows of ``s2_row``: for n <= N
+    and k <= n,
+
+        sum_{j<=k} C(k, j) entry(n, j) = (f(k) t^(-k))^n / k!,
+
+    the right side from ``eval_f``, read as 0^n at k = 0, so a wrong
+    ``s2_row`` or ``_powers`` fails the check."""
+    report = Report("s2-row-inversion", {"f": spec.render(), "t": tp, "N": N})
+    for n in range(N + 1):
+        row = s2_row(spec, tp, n, n + 1)
+        for k in range(n + 1):
+            lhs = sum((row[j] * math.comb(k, j) for j in range(k + 1)), ZERO)
+            power = (eval_f(spec, k) * tp ** -k) ** n if k else LaurentPoly.constant(0 ** n)
+            report.check((n, k), lhs, power * Fraction(1, math.factorial(k)))
+    return report
+
+
 def _reciprocal_powers(spec: FSpec, k: int, width: int) -> list:
     """0, 1/f(1)^k, ..., 1/f(width-1)^k: the sequence whose forward-difference
     coefficients are the modified second-kind values.  Numeric f only."""

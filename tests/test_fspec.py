@@ -41,11 +41,34 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
         "qpow:1",
         "qpow:2,0",
         "qpow:3/2,-1",
+        "linear:1/2,-3/4",
+        "poly:1/6,0,5/4,0",
     ],
 )
 def test_parse_render_round_trip(text):
     spec = parse_fspec(text)
+    assert spec.render() == text
     assert parse_fspec(spec.render()) == spec
+
+
+@pytest.mark.parametrize("text,params", [
+    ("linear:1/2,-3/4", ((-3, 2), 4)),
+    ("linear:2,1", ((1, 2), 1)),
+    ("poly:1/6,0,5/4", ((2, 0, 15), 12)),
+    ("poly:1/6,0,5/4,0", ((2, 0, 15, 0), 12)),
+])
+def test_linear_and_poly_hold_integers_over_one_denominator(text, params):
+    """f(n) = sum_i ints[i] n^i / den, ints in ascending powers of n."""
+    spec = parse_fspec(text)
+    assert spec.params == params
+    ints, den = spec.params
+    assert all(type(x) is int for x in (*ints, den))
+
+
+def test_equal_linear_specs_are_equal_with_equal_hashes():
+    specs = [linear(2, 1), parse_fspec("linear:2.0,1"), parse_fspec("linear:4/2,1")]
+    assert specs[0] == specs[1] == specs[2]
+    assert len({hash(spec) for spec in specs}) == 1
 
 
 def test_table_round_trip_through_file(tmp_path):
@@ -202,6 +225,17 @@ def test_integer_pairs_match_both_evaluators(spec, lo, count):
         assert den > 0 and gcd(num, den) == 1
         assert Fraction(num, den) == eval_f_scalar(spec, n) == eval_f(spec, n).constant_value()
         assert next(f_pairs(spec, n, n + 1)) == (num, den)
+
+
+@settings(max_examples=200)
+@given(st.lists(_pair_values, min_size=1, max_size=4), st.integers(min_value=1, max_value=30))
+def test_poly_evaluation_matches_the_coefficient_sum(coeffs, n):
+    value = sum(c * n ** i for i, c in enumerate(coeffs))
+    if value == 0:
+        with pytest.raises(FSpecError, match=r"f\(\d+\) = 0 for spec"):
+            eval_f(poly(*coeffs), n)
+    else:
+        assert eval_f(poly(*coeffs), n).constant_value() == value
 
 
 def test_integer_pairs_reject_what_eval_f_scalar_rejects():

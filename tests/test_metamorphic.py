@@ -175,17 +175,17 @@ def _monomial_power(orig):
 
 def _linear_branch(orig):
     """f(5) + 1 from the linear branch of the f evaluator only."""
-    def raw_pairs(spec, lo, hi):
-        for n, (num, den) in enumerate(orig(spec, lo, hi), lo):
-            yield (num + den, den) if n == 5 and spec.kind == "linear" else (num, den)
-    return raw_pairs
+    def raw_f(spec, n):
+        num, den = orig(spec, n)
+        return (num + den, den) if n == 5 and spec.kind == "linear" else (num, den)
+    return raw_f
 
 
 # mutant -> (owner, attribute, corruption, the relation's mismatches under ``cells``)
 MUTANTS = {
     "monomial-power": (laurent.LaurentPoly, "__pow__", _monomial_power,
                        lambda cells: specialization("linear:2,1", T0[0], cells)[1]),
-    "linear-branch": (fspec, "_raw_pairs", _linear_branch,
+    "linear-branch": (fspec, "_raw_f", _linear_branch,
                       lambda cells: equivalence(["linear:2,1", "poly:1,2"], "3/2", cells)),
 }
 

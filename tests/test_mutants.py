@@ -121,6 +121,8 @@ KERNELS = {
                ("harmonic-routes", "wf", "convpoly-rec"), ALL),
     "_powers": (stirling, "_powers", lambda orig: lambda *a: _bump(orig(*a), 3),
                 ("s2-geom",), ALL),
+    "s2_row": (stirling, "s2_row", lambda orig: lambda *a: tuple(_bump(orig(*a), 2)),
+               ("s2-geom",), ALL),
     "_reciprocal_powers": (stirling, "_reciprocal_powers",
                            lambda orig: lambda *a: _bump(orig(*a), 3),
                            ("s2star-ogf", "s2star-egf"), NUMERIC_F),

@@ -36,6 +36,8 @@ def patched(name, *args):
         raise FSpecError("f(3) = 0 is not allowed here")
     if name == victim and mode == "fault":
         raise ZeroDivisionError("internal fault")
+    if mode == "json":
+        os.write(2, f"json loaded: {'json' in sys.modules}\\n".encode())  # one write: no interleaving
     if name == victim and mode == "hang":
         print("started", file=sys.stderr, flush=True)
         time.sleep(120)
@@ -162,6 +164,15 @@ def test_a_worker_that_dies_is_a_program_fault_naming_its_suites(tmp_path):
     assert report is None
     # The suites before the first lost one are printed, in order.
     assert run_command(argv[2:], tmp_path)[1].startswith(out)
+
+
+@SEVERAL_CPUS
+def test_the_workers_find_json_imported_when_reports_are_written(tmp_path):
+    """verify --output imports json once, before the fork, not in each worker."""
+    argv = ["json", "-", "verify", "--suite", "all", "--f", "linear:2,1", "--t", "3/2"]
+    code, _, err, report = run_command(argv, tmp_path, script=PATCHED)
+    assert code == 1 and report
+    assert err.splitlines() == ["json loaded: True"] * len(cli.SUITES)
 
 
 @SEVERAL_CPUS

@@ -19,6 +19,7 @@ from fstirling.stirling import (
     s2_diff_coeff,
     s2_geom_transform_checks,
     s2_row,
+    s2_row_inversion_check,
     s2star_egf_check,
     s2star_entry,
     s2star_ogf_check,
@@ -327,12 +328,13 @@ def _geom_report_by_depth(spec, tp, n, k):
                                     (TABLE, 1)])
 def test_geom_suite_shares_one_table_per_k(spec, t):
     tp = check_config(spec, t)
-    suite = [json_text(r.to_json()) for r in run_suite("s2-geom", spec, tp, 8)]
+    *suite, rows = [json_text(r.to_json()) for r in run_suite("s2-geom", spec, tp, 8)]
     assert len(suite) == 9 * 6
     assert suite == [json_text(s2_geom_transform_checks(spec, tp, [m], [k])[0].to_json())
                      for m in range(9) for k in range(6)]
     assert suite == [json_text(_geom_report_by_depth(spec, tp, m, k).to_json())
                      for m in range(9) for k in range(6)]
+    assert rows == json_text(s2_row_inversion_check(spec, tp, 8).to_json())
 
 
 def test_s2star_anchor():
