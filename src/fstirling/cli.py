@@ -19,10 +19,10 @@ for every command, before it lifts the int-to-string digit limit for the
 command's work; the library takes the checked t as given.  The command
 process leaves through ``console_main``, without interpreter teardown.
 
-Every command's document is laid out here, by one streamed writer per
-format; the library modules only compute.  Only argument parsing, the f
-parser and the report writer are imported up front; each command imports the
-modules it runs, so a cheap command does not load the verification suites.
+Documents are written a piece at a time: ``report.json_chunks`` lays out JSON
+and ``_csv_lines`` CSV; the library modules only compute.  Only argument
+parsing, the f parser and the report writer are imported up front; each command
+imports the modules it runs, so a cheap command does not load the suites.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from importlib import import_module
 
 from .fspec import MEMO, FSpecError, check_config, parse_fspec
 from .laurent import LaurentPoly
-from .report import (Report, digits_unlimited, json_list_chunks, json_text, render_t,
+from .report import (Encoded, Report, digits_unlimited, json_chunks, json_text, render_t,
                      render_value)
 
 
@@ -121,15 +121,6 @@ def _csv_lines(header, rows):
         yield ",".join(map(str, row)) + "\r\n"
 
 
-def _json_chunks(args, fields: dict, items):
-    """A command's JSON document as ``json_text`` lays it out: the f and t of
-    ``args``, then ``fields``, whose last value is an empty list that
-    ``items`` fill, written an item at a time."""
-    yield json_text({"f": args.spec.render(), "t": render_t(args.tp), **fields})[:-len("[]\n}")]
-    yield from json_list_chunks((json_text(item, 2) for item in items), 1)
-    yield "\n}"
-
-
 def cmd_triangle(args) -> int:
     from . import stirling
 
@@ -139,7 +130,8 @@ def cmd_triangle(args) -> int:
     else:
         rows = [stirling.s2_row(spec, tp, n, n + 1) for n in range(args.rows + 1)]
     if args.format == "json":
-        chunks = _json_chunks(args, {"rows": []}, ([render_value(e) for e in row] for row in rows))
+        chunks = json_chunks({"f": spec.render(), "t": render_t(tp),
+                              "rows": ((render_value(e) for e in row) for row in rows)})
     else:
         chunks = _csv_lines(("n", "k", "entry"),
                             ((n, k, e) for n, row in enumerate(rows) for k, e in enumerate(row)))
@@ -174,8 +166,9 @@ def cmd_convpoly(args) -> int:
     rows = [(n, x, convpoly.sigma_eval(spec, tp, args.variant, n, x))
             for n in range(args.n_max + 1) for x in range(n + 1, args.x_max + 1)]
     if args.format == "json":
-        chunks = _json_chunks(args, {"variant": args.variant, "values": []},
-                              ({"n": n, "x": x, "value": render_value(v)} for n, x, v in rows))
+        chunks = json_chunks({"f": spec.render(), "t": render_t(tp), "variant": args.variant,
+                              "values": ({"n": n, "x": x, "value": render_value(v)}
+                                         for n, x, v in rows)})
     else:
         chunks = _csv_lines(("n", "x", "value"),
                             ((n, x, _render_scalar(v, args.decimal)) for n, x, v in rows))
@@ -358,9 +351,8 @@ def cmd_verify(args) -> int:
             yield from suite_texts
 
     if args.output:
-        # The text of json.dumps(reports, indent=2), written a report at a time
-        # to a file opened before the first suite runs.
-        _emit(json_list_chunks(report_texts()), args.output)
+        # Written a report at a time, to a file opened before the first suite runs.
+        _emit(json_chunks(Encoded(text) for text in report_texts()), args.output)
     else:
         list(report_texts())  # runs the suites; their texts are empty without --output
     return 1 if failed else 0

@@ -17,11 +17,13 @@ layout.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _as_fraction(c) -> Fraction:
@@ -276,9 +278,14 @@ class LaurentPoly:
                 and self.den == other.den)
 
     def __hash__(self):
-        if self.var is None:
-            return hash(self.constant_value())
-        return hash((self.var, self.lo, self.num, self.den))
+        if self.var is not None:
+            return hash((self.var, self.lo, self.num, self.den))
+        # A constant hashes as its Fraction, by Python's documented rational hash.
+        num, den = self.num[0] if self.num else 0, self.den
+        if den == 1:
+            return hash(num)
+        h = abs(num) % _MODULUS * pow(den, -1, _MODULUS) % _MODULUS if den % _MODULUS else _INF
+        return -h if num < 0 else h
 
     def __bool__(self):
         return bool(self.num)

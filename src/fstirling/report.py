@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from types import GeneratorType
 from typing import List, Sequence
 
 from .laurent import LaurentPoly
@@ -65,12 +66,8 @@ def json_text(obj, level: int = 0) -> str:
             return ("[" + inner + ("," + inner).join(
                 [quote(v) if type(v) is str else encode(v, inner) for v in obj])
                 + newline + "]")
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if obj is None:
-            return "null"
+        if obj is None or obj is True or obj is False:
+            return "null" if obj is None else "true" if obj else "false"
         if isinstance(obj, int):
             return int.__repr__(obj)
         return json.dumps(obj)
@@ -78,18 +75,29 @@ def json_text(obj, level: int = 0) -> str:
     return encode(obj, "\n" + "  " * level)
 
 
-def json_list_chunks(texts, level: int = 0):
-    """The text of a JSON list at nesting depth ``level``, laid out as
-    ``json_text`` lays it out, in pieces: ``texts`` are the items' texts,
-    each ``json_text(item, level + 1)``.  A document can be written an item
-    at a time, without its whole text in memory."""
+class Encoded(str):
+    """Text laid out by ``json_text(obj, level)``; ``json_chunks`` writes it as it is."""
+
+
+def json_chunks(obj, level: int = 0):
+    """``json_text(obj, level)`` in pieces.  A generator that is ``obj``, an item of
+    another such generator or a value of a dict that is one of these is a list
+    written an item at a time, so a document is never whole in memory; an
+    ``Encoded`` item is written as it is."""
+    if isinstance(obj, GeneratorType):
+        brackets, pairs = "[]", (("", item) for item in obj)
+    elif isinstance(obj, dict) and any(isinstance(v, GeneratorType) for v in obj.values()):
+        brackets, pairs = "{}", ((json_text(k) + ": ", v) for k, v in obj.items())
+    else:
+        yield obj if isinstance(obj, Encoded) else json_text(obj, level)
+        return
     inner = "\n" + "  " * (level + 1)
-    sep = "[" + inner
-    for text in texts:
-        yield sep
-        yield text
+    sep = brackets[0] + inner
+    for key, value in pairs:
+        yield sep + key
+        yield from json_chunks(value, level + 1)
         sep = "," + inner
-    yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
+    yield brackets if sep[0] != "," else "\n" + "  " * level + brackets[1]
 
 
 def render_t(t: LaurentPoly) -> str:

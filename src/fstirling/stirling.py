@@ -80,14 +80,16 @@ def s1_column_closed_forms(spec: FSpec, tp: LaurentPoly, N: int) -> Report:
     report = Report(
         "s1-column-closed-forms", {"f": spec.render(), "t": tp, "N": N}
     )
+    # sums[k] = sum over 1 <= j <= n of entry(j, k-1) t^(j(j+1)/2) / j!_f, kept
+    # running over n; a column's terms before j = k - 1 are zero.
+    sums = [ZERO] * (N + 2)
     for n in range(N + 1):
         nft = bang_ft(spec, tp, n)
         report.check((n, 1), tri.entry(n + 1, 1), nft)
+        weight = tp ** (n * (n + 1) // 2) / bang_f(spec, n)
         for k in range(2, n + 2):
-            acc = ZERO
-            for j in range(1, n + 1):
-                acc = acc + tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / bang_f(spec, j)
-            report.check((n, k), tri.entry(n + 1, k), nft * acc)
+            sums[k] = sums[k] + tri.entry(n, k - 1) * weight
+            report.check((n, k), tri.entry(n + 1, k), nft * sums[k])
     return report
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import sys
 from math import gcd
 
 import pytest
@@ -104,6 +105,7 @@ def test_constant_coercion_across_variables():
             assert got.var == ("u" if set(want) - {0} else None), value
 
 
+HASH_MODULUS = sys.hash_info.modulus
 ring_values = (laurent_polys("t") | laurent_polys("u") | rationals.map(LaurentPoly.constant)
                | st.just(LaurentPoly.constant(0)))
 
@@ -123,6 +125,12 @@ def check_variable_invariant(p: LaurentPoly, var):
 @settings(max_examples=300, deadline=None)
 @given(ring_values, ring_values, rationals)
 @example(LaurentPoly.monomial("t", 2), LaurentPoly.constant(0), Fraction(0))
+# Negative constants: -(M + 2)/2, whose rational hash is -1 and so hashes to -2,
+# and a denominator that is a multiple of the hash modulus M, which hashes as infinity.
+@example(LaurentPoly.constant(Fraction(-(HASH_MODULUS + 2), 2)), LaurentPoly.constant(-1),
+         Fraction(-1, 3))
+@example(LaurentPoly.constant(Fraction(-1, HASH_MODULUS)),
+         LaurentPoly.constant(Fraction(3, 2 * HASH_MODULUS)), Fraction(-7))
 def test_a_constant_has_no_variable(a, b, c):
     check_variable_invariant(a, a.var)
     ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y]

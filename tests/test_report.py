@@ -3,6 +3,7 @@
 import json
 import os
 from fractions import Fraction
+from types import GeneratorType
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from fstirling import cli
 from fstirling.fspec import check_config, linear, parse_fspec, qpow
 from fstirling.laurent import LaurentPoly
-from fstirling.report import digits_unlimited, json_list_chunks, json_text, render_value
+from fstirling.report import Encoded, digits_unlimited, json_chunks, json_text, render_value
 
 # Text includes non-ASCII and control characters; floats include nan and inf.
 scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text())
@@ -35,11 +36,57 @@ def test_writer_is_json_dumps_indent_2(obj):
     assert "[\n  " + json_text(obj, 1) + "\n]" == json.dumps([obj], indent=2)
 
 
+def _streamed(obj):
+    """``obj`` with a generator for each list that ``json_chunks`` streams: the
+    top, the items of a generator, and the values of a dict there that holds
+    a generator; any other dict stays as it is."""
+    if isinstance(obj, list):
+        return (_streamed(item) for item in obj)
+    if isinstance(obj, dict):
+        out = {k: _streamed(v) for k, v in obj.items()}
+        if any(isinstance(v, GeneratorType) for v in out.values()):
+            return out
+    return obj
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(documents, max_size=4), st.integers(0, 3))
+@example([], 0)
+@example([[], {"rows": []}, {"rows": [["3/2", "-1"], []], "t": "1/2"}, [{"a": {"b": [1]}}]], 1)
 def test_a_list_written_an_item_at_a_time_is_the_writer_text(items, level):
-    texts = (json_text(item, level + 1) for item in items)
-    assert "".join(json_list_chunks(texts, level)) == json_text(items, level)
+    for doc in (items, {"f": "linear:2,1", "rows": items}):
+        text = "".join(json_chunks(_streamed(doc), level))
+        assert text == json_text(doc, level)
+        if level == 0:
+            assert text == json.dumps(doc, indent=2)
+
+
+def test_laid_out_text_is_written_as_it_is_and_strings_are_quoted():
+    reports = [{"identity": "s1-oracle", "cells": [{"lhs": "3/2", "pass": True}]}, {}]
+    doc = [*reports, "3/2"]
+    items = (Encoded(json_text(r, 1)) for r in reports)
+    assert "".join(json_chunks(x for x in [*items, "3/2"])) == json.dumps(doc, indent=2)
+    rows = {"t": "3/2", "rows": (Encoded(json_text(row, 2)) for row in [["1", "3/2"]])}
+    assert "".join(json_chunks(rows)) == json.dumps({"t": "3/2", "rows": [["1", "3/2"]]}, indent=2)
+    assert "".join(json_chunks(x for x in ())) == "[]"
+    assert "".join(json_chunks({"rows": (x for x in ())})) == '{\n  "rows": []\n}'
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_the_writer_yields_each_item_before_the_next_is_made(k):
+    def values():
+        yield from ["1/2", {"var": "t", "terms": {"1": "1"}}, "-3"][:k]
+        raise RuntimeError("item k")
+
+    written = []
+    with pytest.raises(RuntimeError, match="item k"):
+        for chunk in json_chunks({"f": "linear:2,1", "rows": (row for row in [values()])}):
+            written.append(chunk)
+    whole = json_text({"f": "linear:2,1", "rows": [["1/2", {"var": "t", "terms": {"1": "1"}},
+                                                    "-3"][:k]]})
+    # All of the text but the closing brackets, which follow the last item.
+    assert "".join(written) == (whole.removesuffix("\n    ]\n  ]\n}") if k
+                                else '{\n  "f": "linear:2,1",\n  "rows": [\n    ')
 
 
 def test_writer_past_the_digit_limit():

@@ -9,7 +9,8 @@ import pytest
 
 from fstirling import stirling
 from fstirling.cli import run_suite
-from fstirling.fspec import MEMO, FSpecError, check_config, eval_f, linear, parse_fspec, qpow
+from fstirling.fspec import (MEMO, ZERO, FSpecError, bang_f, bang_ft, check_config, eval_f, linear,
+                             parse_fspec, qpow)
 from fstirling.laurent import LaurentPoly
 from fstirling.report import Report, json_text
 from fstirling.stirling import (
@@ -165,6 +166,28 @@ def test_column_closed_forms():
     for spec, t in MATRIX:
         rep = s1_column_closed_forms(spec, check_config(spec, t), 6)
         assert rep.passed, rep.failures[:3]
+
+
+@pytest.mark.parametrize("f,t,N", [("linear:2,1", "t", 12), ("linear:2,1", Fraction(3, 2), 12),
+                                   ("qpow:3/2,0", "t", 12), ("poly:1,2", Fraction(-2, 5), 12),
+                                   ("table12", Fraction(3, 2), 10)])
+def test_column_closed_forms_are_the_direct_triple_sums(f, t, N):
+    """The running column sums give the report that rebuilding each (n, k) cell's
+    sum over j from scratch gives, byte for byte."""
+    spec = TABLE if f == "table12" else parse_fspec(f)
+    tp = check_config(spec, t)
+    tri = s1_triangle(spec, tp, N + 1)
+    want = Report("s1-column-closed-forms", {"f": spec.render(), "t": tp, "N": N})
+    for n in range(N + 1):
+        nft = bang_ft(spec, tp, n)
+        want.check((n, 1), tri.entry(n + 1, 1), nft)
+        for k in range(2, n + 2):
+            acc = sum((tri.entry(j, k - 1) * tp ** (j * (j + 1) // 2) / bang_f(spec, j)
+                       for j in range(1, n + 1)), ZERO)
+            want.check((n, k), tri.entry(n + 1, k), nft * acc)
+    got = s1_column_closed_forms(spec, tp, N)
+    assert got.passed and len(got.cells) == (N + 1) * (N + 2) // 2
+    assert json_text(got.to_json()) == json_text(want.to_json())
 
 
 def test_s2_entry_anchors():
